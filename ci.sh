@@ -28,6 +28,9 @@ cargo test -q --test attack_matrix
 echo "==> evidence crate (chain, merkle, reports, codec fuzz)"
 cargo test -q -p sage-evidence
 
+echo "==> service crate (snapshot codec, wire fuzz, wire properties)"
+cargo test -q -p sage-service
+
 echo "==> crash recovery incl. mid-epoch evidence preservation"
 cargo test -q --test service_recovery
 

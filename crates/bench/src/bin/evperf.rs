@@ -5,10 +5,12 @@
 //!
 //! * **append** — sealing one hash-linked, CMAC'd record onto a device
 //!   chain (the per-stage cost every checksum round now carries),
-//! * **seal** — folding a fleet's chain heads into one Merkle epoch
-//!   root (the per-epoch cost, scaling with fleet width),
-//! * **prove** — producing one device's inclusion proof plus minting
-//!   its full [`DeviceReport`] envelope,
+//! * **seal** — folding a fleet's name-sorted chain heads into one
+//!   Merkle [`EpochTree`], every level kept (the per-epoch cost,
+//!   scaling with fleet width),
+//! * **prove** — what `report_for` pays: a binary search for the
+//!   device's leaf, its O(log n) proof read from the kept tree, plus
+//!   minting its full [`DeviceReport`] envelope,
 //! * **verify** — [`verify_report`] end to end: envelope CMAC, root
 //!   match, Merkle walk, suffix re-verification, claim and freshness
 //!   checks (the relying party's cost).
@@ -24,10 +26,9 @@
 
 use std::time::Instant;
 
-use sage_evidence::merkle::{epoch_root, prove_inclusion};
 use sage_evidence::{
-    verify_report, DeviceReport, EpochLeaf, EvidenceChain, EvidencePath, EvidencePayload,
-    Freshness, FreshnessClaim, FreshnessPolicy, StageVerdict,
+    verify_report, DeviceReport, EpochLeaf, EpochTree, EvidenceChain, EvidencePath,
+    EvidencePayload, Freshness, FreshnessClaim, FreshnessPolicy, StageVerdict,
 };
 
 struct SplitMix64(u64);
@@ -136,8 +137,8 @@ fn main() {
     let appends = records * devices as u64;
     let appends_per_sec = appends as f64 / append_wall.max(1e-9);
 
-    // --- seal: the fleet's chain heads into one epoch root, many times.
-    let leaves: Vec<EpochLeaf> = chains
+    // --- seal: the fleet's chain heads into one epoch tree, many times.
+    let mut leaves: Vec<EpochLeaf> = chains
         .iter()
         .map(|c| EpochLeaf {
             device: c.device().to_string(),
@@ -145,15 +146,18 @@ fn main() {
             seq: c.seq(),
         })
         .collect();
+    leaves.sort_by(|a, b| a.device.cmp(&b.device));
     let t1 = Instant::now();
-    let mut root = [0u8; 32];
+    let mut tree = EpochTree::new(&[]);
     for _ in 0..iters {
-        root = epoch_root(&leaves);
+        tree = EpochTree::new(&leaves);
     }
+    let root = tree.root();
     let seal_wall = t1.elapsed().as_secs_f64();
     let seals_per_sec = iters as f64 / seal_wall.max(1e-9);
 
-    // --- prove: inclusion proof + full report envelope per device.
+    // --- prove: leaf lookup + kept-tree proof + full report envelope
+    // per device.
     // Reports are anchored at the sealed heads with an empty suffix (the
     // "just sealed" shape), asserted fresh under the policy.
     let asserted_at = 10_000 + 10 * records;
@@ -161,8 +165,9 @@ fn main() {
     let mut reports = Vec::with_capacity(devices);
     for _ in 0..iters {
         reports.clear();
-        for (i, chain) in chains.iter().enumerate() {
-            let proof = prove_inclusion(&leaves, i);
+        for chain in &chains {
+            let i = leaves.partition_point(|l| l.device.as_str() < chain.device());
+            let proof = tree.prove(i);
             let claim = FreshnessClaim {
                 policy: POLICY,
                 last_pass_at: chain.last_pass_at(),

@@ -12,7 +12,8 @@
 //!   record hash-linked to its predecessor and keyed from the device's
 //!   SAKE session key,
 //! - [`merkle`] — the fleet [`epoch_root`] accumulator over device
-//!   chain heads, with per-device [`InclusionProof`]s,
+//!   chain heads, kept level by level in an [`EpochTree`] that serves
+//!   per-device [`InclusionProof`]s in O(log n),
 //! - [`freshness`] — [`FreshnessPolicy`]-driven trust decay
 //!   (`Trusted → Stale → Degraded`) reversed by re-attestation,
 //! - [`report`] — the self-contained [`DeviceReport`] and
@@ -32,7 +33,7 @@ pub mod report;
 pub use chain::{derive_evidence_key, genesis_head, verify_suffix, EvidenceChain};
 pub use freshness::{Freshness, FreshnessPolicy};
 pub use merkle::{
-    epoch_root, prove_inclusion, verify_inclusion, EpochLeaf, InclusionProof, ProofStep,
+    epoch_root, prove_inclusion, verify_inclusion, EpochLeaf, EpochTree, InclusionProof, ProofStep,
 };
 pub use record::{EvidencePath, EvidencePayload, EvidenceRecord, StageVerdict, EVIDENCE_VERSION};
 pub use report::{verify_report, DeviceReport, FreshnessClaim, ReportError};

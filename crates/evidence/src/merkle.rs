@@ -58,29 +58,84 @@ fn inner_hash(hasher: &mut Sha256, left: &[u8; 32], right: &[u8; 32]) -> [u8; 32
     hasher.finalize_reset()
 }
 
-/// Computes the epoch root over `leaves` (in the given order; the
-/// service sorts by device name so the root is order-canonical). An
-/// empty leaf set has the domain-tagged empty root.
-pub fn epoch_root(leaves: &[EpochLeaf]) -> [u8; 32] {
-    let mut level: Vec<[u8; 32]> = leaves.iter().map(EpochLeaf::hash).collect();
-    if level.is_empty() {
-        let mut h = Sha256::new();
-        h.update(b"sage-evidence-empty-epoch");
-        return h.finalize();
+/// Every level of an epoch's Merkle tree, leaf hashes first and the
+/// root last, built once so inclusion proofs are O(log n) reads instead
+/// of whole-tree rebuilds. Same hashing as the rest of this module:
+/// `0x00`-tagged leaves, `0x01`-tagged inner nodes, odd nodes promoted.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct EpochTree {
+    /// `levels[0]` is the leaf hashes; each next level pairs the one
+    /// below; the last level holds the single root (empty tree: no
+    /// levels).
+    levels: Vec<Vec<[u8; 32]>>,
+}
+
+impl EpochTree {
+    /// Hashes `leaves` (in the given order; the service sorts by device
+    /// name so the root is order-canonical) and builds every level.
+    pub fn new(leaves: &[EpochLeaf]) -> EpochTree {
+        let mut level: Vec<[u8; 32]> = leaves.iter().map(EpochLeaf::hash).collect();
+        let mut levels = Vec::new();
+        let mut hasher = Sha256::new();
+        while level.len() > 1 {
+            let next = level
+                .chunks(2)
+                .map(|pair| match pair {
+                    [l, r] => inner_hash(&mut hasher, l, r),
+                    [odd] => *odd, // promoted, not duplicated
+                    _ => unreachable!("chunks(2)"),
+                })
+                .collect();
+            levels.push(std::mem::replace(&mut level, next));
+        }
+        if !level.is_empty() {
+            levels.push(level);
+        }
+        EpochTree { levels }
     }
-    let mut hasher = Sha256::new();
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len() / 2 + 1);
-        for pair in level.chunks(2) {
-            match pair {
-                [l, r] => next.push(inner_hash(&mut hasher, l, r)),
-                [odd] => next.push(*odd), // promoted, not duplicated
-                _ => unreachable!("chunks(2)"),
+
+    /// The epoch root. An empty leaf set has the domain-tagged empty
+    /// root.
+    pub fn root(&self) -> [u8; 32] {
+        match self.levels.last() {
+            Some(top) => top[0],
+            None => {
+                let mut h = Sha256::new();
+                h.update(b"sage-evidence-empty-epoch");
+                h.finalize()
             }
         }
-        level = next;
     }
-    level[0]
+
+    /// The inclusion proof for leaf `index`: one kept sibling per level
+    /// (none where the node is an odd one promoted).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds.
+    pub fn prove(&self, index: usize) -> InclusionProof {
+        let leaf_count = self.levels.first().map_or(0, Vec::len);
+        assert!(index < leaf_count, "leaf index out of bounds");
+        let mut pos = index;
+        let mut steps = Vec::with_capacity(self.levels.len());
+        for level in &self.levels[..self.levels.len() - 1] {
+            let sibling = pos ^ 1;
+            if let Some(hash) = level.get(sibling) {
+                steps.push(ProofStep {
+                    sibling: *hash,
+                    sibling_on_left: sibling < pos,
+                });
+            }
+            pos /= 2;
+        }
+        InclusionProof { steps }
+    }
+}
+
+/// Computes the epoch root over `leaves` (see [`EpochTree::new`] for
+/// the ordering and [`EpochTree::root`] for the empty case).
+pub fn epoch_root(leaves: &[EpochLeaf]) -> [u8; 32] {
+    EpochTree::new(leaves).root()
 }
 
 /// One step of an inclusion proof: the sibling hash and which side it
@@ -132,38 +187,14 @@ impl InclusionProof {
     }
 }
 
-/// Builds the inclusion proof for `leaves[index]`.
+/// Builds the inclusion proof for `leaves[index]` (a one-shot
+/// [`EpochTree::prove`]; keep the tree to prove more than one leaf).
 ///
 /// # Panics
 ///
 /// Panics if `index` is out of bounds.
 pub fn prove_inclusion(leaves: &[EpochLeaf], index: usize) -> InclusionProof {
-    assert!(index < leaves.len(), "leaf index out of bounds");
-    let mut level: Vec<[u8; 32]> = leaves.iter().map(EpochLeaf::hash).collect();
-    let mut pos = index;
-    let mut steps = Vec::new();
-    let mut hasher = Sha256::new();
-    while level.len() > 1 {
-        let sibling = pos ^ 1;
-        if sibling < level.len() {
-            steps.push(ProofStep {
-                sibling: level[sibling],
-                sibling_on_left: sibling < pos,
-            });
-        }
-        // else: odd node promoted — no step at this level.
-        let mut next = Vec::with_capacity(level.len() / 2 + 1);
-        for pair in level.chunks(2) {
-            match pair {
-                [l, r] => next.push(inner_hash(&mut hasher, l, r)),
-                [odd] => next.push(*odd),
-                _ => unreachable!("chunks(2)"),
-            }
-        }
-        pos /= 2;
-        level = next;
-    }
-    InclusionProof { steps }
+    EpochTree::new(leaves).prove(index)
 }
 
 /// Verifies that `leaf` is included under `root` via `proof`.

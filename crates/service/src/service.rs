@@ -64,7 +64,7 @@ use sage::sake::{key_fingerprint, SakeMessage};
 use sage::verifier::Verifier;
 use sage::{GpuSession, SageError};
 use sage_crypto::DhGroup;
-use sage_evidence::merkle::{epoch_root, prove_inclusion, EpochLeaf};
+use sage_evidence::merkle::{EpochLeaf, EpochTree};
 use sage_evidence::report::{DeviceReport, FreshnessClaim};
 use sage_evidence::{EvidenceChain, EvidencePath, EvidencePayload, Freshness, StageVerdict};
 use sage_sgx_sim::Enclave;
@@ -77,7 +77,7 @@ use crate::node::DeviceNode;
 use crate::policy::{seeded_jitter, Policy};
 use crate::quorum::{QuorumConfig, VerifierSet};
 use crate::sampling::SamplingConfig;
-use crate::shard::ShardIndex;
+use crate::shard::{FxHashMap, ShardIndex};
 use crate::wheel::TimerWheel;
 use crate::wire::{self, Frame};
 
@@ -285,18 +285,25 @@ where
 }
 
 /// One sealed fleet evidence epoch: the Merkle root over every device's
-/// chain head at the seal instant, plus the leaves (so inclusion proofs
-/// stay recomputable after the fact).
+/// chain head at the seal instant, plus — for the newest epoch only —
+/// the leaves that root commits to.
+///
+/// Reports are always anchored at the newest epoch, so that is the only
+/// one whose leaves (and Merkle levels, kept by the service) can serve
+/// an inclusion proof. When the next epoch seals, this one keeps its
+/// `index`, `at` and `root` and drops its leaves to an empty `Vec`: the
+/// retained leaves stay bounded by the live fleet however many epochs
+/// have sealed. Snapshots encode a superseded epoch with zero leaves.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SealedEpoch {
     /// Epoch index (the first sealed epoch is 1).
     pub index: u64,
     /// Virtual time the epoch was sealed.
     pub at: u64,
-    /// Merkle root over `leaves`.
+    /// Merkle root over the epoch's leaves.
     pub root: [u8; 32],
     /// Per-device leaves, sorted by device name (the canonical order the
-    /// root commits to).
+    /// root commits to). Empty once a newer epoch has sealed.
     pub leaves: Vec<EpochLeaf>,
 }
 
@@ -450,14 +457,22 @@ pub struct AttestationService<T: Transport> {
     /// Wall-clock time spent in pooled bank prefill across every join,
     /// kept out of the enrollment figure benchmarks report.
     pub(crate) prefill_wall: core::time::Duration,
-    /// Sealed fleet evidence epochs, oldest first.
+    /// Sealed fleet evidence epochs, oldest first. Only the newest
+    /// keeps its leaves (see [`SealedEpoch`]).
     pub(crate) sealed_epochs: Vec<SealedEpoch>,
+    /// Every Merkle level of the newest sealed epoch (empty before the
+    /// first seal): `report_for` reads its proof siblings from here.
+    pub(crate) epoch_tree: EpochTree,
     /// When the next epoch seals (`None` while epochs are disabled).
     pub(crate) next_seal_at: Option<u64>,
     /// Due re-attestations, deadlines, and freshness boundaries.
     pub(crate) timers: TimerWheel<Timer>,
     /// `NodeId → slot`, partitioned `fx_hash(node) % shards`.
     pub(crate) index: ShardIndex,
+    /// `device name → slot` for by-name queries. The first device to
+    /// join under a name keeps the entry; slots are append-only, so a
+    /// device that leaves keeps it too.
+    pub(crate) by_name: FxHashMap<String, u32>,
     /// Slots in most-powerful-first order (the canonical event order).
     pub(crate) roster: Vec<u32>,
     /// `slot → position in roster` (the per-device merge sort key).
@@ -490,9 +505,11 @@ impl<T: Transport> AttestationService<T> {
             registry: None,
             prefill_wall: core::time::Duration::ZERO,
             sealed_epochs: Vec::new(),
+            epoch_tree: EpochTree::new(&[]),
             next_seal_at: (cfg.epoch_interval > 0).then_some(cfg.epoch_interval),
             timers: TimerWheel::new(),
             index: ShardIndex::new(cfg.shards),
+            by_name: FxHashMap::default(),
             roster: Vec::new(),
             roster_pos: Vec::new(),
             work_of: Vec::new(),
@@ -598,7 +615,7 @@ impl<T: Transport> AttestationService<T> {
     }
 
     fn find(&self, name: &str) -> Option<usize> {
-        self.devices.iter().position(|d| d.node.member.name == name)
+        self.by_name.get(name).map(|&slot| slot as usize)
     }
 
     /// The lifecycle state of a device, if managed.
@@ -794,6 +811,7 @@ impl<T: Transport> AttestationService<T> {
             link_up: true,
         });
         self.index.insert(id, slot);
+        self.by_name.entry(name).or_insert(slot as u32);
         self.work_of.push(u32::MAX);
         self.insert_roster(slot);
         if let Some(t) = next_action_at {
@@ -901,16 +919,21 @@ impl<T: Transport> AttestationService<T> {
     }
 
     /// Rebuilds every piece of derived scheduling state — roster order,
-    /// routing index, per-step scratch, and the timer wheel — from the
-    /// devices' durable fields. The restore path calls this after
-    /// reconstructing `devices`; the wheel itself is never snapshotted.
+    /// routing and name indexes, per-step scratch, and the timer wheel —
+    /// from the devices' durable fields. The restore path calls this
+    /// after reconstructing `devices`; the wheel itself is never
+    /// snapshotted.
     pub(crate) fn rebuild_schedule(&mut self) {
         self.sort_roster();
         self.work_of = vec![u32::MAX; self.devices.len()];
         self.index.clear();
+        self.by_name.clear();
         self.timers = TimerWheel::new();
         for slot in 0..self.devices.len() {
             self.index.insert(self.devices[slot].node.id, slot);
+            self.by_name
+                .entry(self.devices[slot].node.member.name.clone())
+                .or_insert(slot as u32);
             if let Some(t) = self.devices[slot].next_action_at {
                 self.timers.insert(t, Timer::Action(slot as u32));
             }
@@ -1238,10 +1261,16 @@ impl<T: Transport> AttestationService<T> {
             // Name order is the canonical leaf order the root commits to
             // (the roster itself is power-ordered and churns).
             leaves.sort_by(|a, b| a.device.cmp(&b.device));
-            let root = epoch_root(&leaves);
+            self.epoch_tree = EpochTree::new(&leaves);
+            let root = self.epoch_tree.root();
             let index = self.sealed_epochs.last().map_or(1, |e| e.index + 1);
             self.log
                 .record(t, "fleet", EventKind::EpochSealed { epoch: index, root });
+            // Reports anchor at the newest epoch only: the one it
+            // supersedes keeps its root and gives up its leaves.
+            if let Some(prev) = self.sealed_epochs.last_mut() {
+                prev.leaves = Vec::new();
+            }
             self.sealed_epochs.push(SealedEpoch {
                 index,
                 at: t,
@@ -1338,9 +1367,11 @@ impl<T: Transport> AttestationService<T> {
         let d = &self.devices[self.find(name)?];
         let chain = d.evidence.as_ref()?;
         let epoch = self.sealed_epochs.last()?;
-        let pos = epoch.leaves.iter().position(|l| l.device == name)?;
-        let leaf = epoch.leaves[pos].clone();
-        let proof = prove_inclusion(&epoch.leaves, pos);
+        // Leaves are name-sorted: the lower bound is the first leaf under
+        // this name, and the kept levels give its proof in O(log n).
+        let pos = epoch.leaves.partition_point(|l| l.device.as_str() < name);
+        let leaf = epoch.leaves.get(pos).filter(|l| l.device == name)?.clone();
+        let proof = self.epoch_tree.prove(pos);
         let suffix = chain.suffix(leaf.seq);
         let claim = FreshnessClaim {
             policy: self.cfg.freshness,

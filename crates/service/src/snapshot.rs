@@ -22,11 +22,12 @@ use sage::verifier::Verifier;
 use sage::Calibration;
 use sage_crypto::DhGroup;
 use sage_evidence::chain::{decode_records, encode_records};
-use sage_evidence::merkle::EpochLeaf;
+use sage_evidence::merkle::{EpochLeaf, EpochTree};
 use sage_evidence::record::EvidenceRecord;
 use sage_evidence::{derive_evidence_key, EvidenceChain, Freshness};
 
 use sage_vf::ReplayPool;
+use std::collections::VecDeque;
 
 use crate::events::{Counters, Event, EventKind, EventLog, FailReason};
 use crate::net::{NodeId, Transport};
@@ -35,7 +36,7 @@ use crate::quorum::{VerifierBehavior, VerifierSet};
 use crate::service::{
     AttestationService, DeviceState, ManagedDevice, Outstanding, SealedEpoch, ServiceConfig,
 };
-use crate::shard::ShardIndex;
+use crate::shard::{FxHashMap, ShardIndex};
 use crate::wheel::TimerWheel;
 
 /// Snapshot magic: "SAGE snap".
@@ -79,6 +80,12 @@ pub enum SnapshotError {
     /// A device's evidence blob does not decode, or its records fail
     /// re-verification (the chain must re-hash to the recorded heads).
     BadEvidence(String),
+    /// The newest sealed epoch's leaves do not re-hash to its recorded
+    /// root.
+    BadEpoch {
+        /// The epoch's index.
+        index: u64,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -100,6 +107,9 @@ impl std::fmt::Display for SnapshotError {
             }
             SnapshotError::BadEvidence(n) => {
                 write!(f, "evidence chain for device {n:?} fails re-verification")
+            }
+            SnapshotError::BadEpoch { index } => {
+                write!(f, "sealed epoch {index} leaves do not re-hash to its root")
             }
         }
     }
@@ -793,19 +803,41 @@ pub(crate) fn restore<T: Transport>(
     bytes: &[u8],
     endpoints: Vec<Endpoint>,
 ) -> Result<AttestationService<T>, SnapshotError> {
-    let decoded = decode(bytes)?;
+    let mut decoded = decode(bytes)?;
+    // Only the newest epoch keeps leaves (older snapshots may still
+    // carry superseded ones: drop them), and they must re-hash to its
+    // recorded root before its kept levels serve any report.
+    let epoch_tree = match decoded.sealed_epochs.split_last_mut() {
+        Some((newest, superseded)) => {
+            for e in superseded {
+                e.leaves = Vec::new();
+            }
+            let tree = EpochTree::new(&newest.leaves);
+            if tree.root() != newest.root {
+                return Err(SnapshotError::BadEpoch {
+                    index: newest.index,
+                });
+            }
+            tree
+        }
+        None => EpochTree::new(&[]),
+    };
     // Re-marry scheduler records with surviving endpoints by device
     // name. Every record needs its endpoint and vice versa — a partial
-    // fleet is a different deployment, not a restart.
+    // fleet is a different deployment, not a restart. Records sharing a
+    // name take that name's endpoints in order.
+    let mut by_name: FxHashMap<String, VecDeque<usize>> = FxHashMap::default();
+    for (pos, ep) in endpoints.iter().enumerate() {
+        let name = ep.node.member.name.clone();
+        by_name.entry(name).or_default().push_back(pos);
+    }
     let mut endpoint_pool: Vec<Option<Endpoint>> = endpoints.into_iter().map(Some).collect();
     let mut devices = Vec::with_capacity(decoded.devices.len());
     for rec in decoded.devices {
-        let pos = endpoint_pool
-            .iter()
-            .position(|e| e.as_ref().is_some_and(|e| e.node.member.name == rec.name))
-            .ok_or_else(|| SnapshotError::MissingEndpoint(rec.name.clone()))?;
-        let mut ep = endpoint_pool[pos]
-            .take()
+        let mut ep = by_name
+            .get_mut(&rec.name)
+            .and_then(VecDeque::pop_front)
+            .and_then(|pos| endpoint_pool[pos].take())
             .ok_or_else(|| SnapshotError::MissingEndpoint(rec.name.clone()))?;
         // The scheduler's view is authoritative for addressing and
         // calibration (the latter mirrors the enclave's sealed copy).
@@ -889,9 +921,11 @@ pub(crate) fn restore<T: Transport>(
         registry: None,
         prefill_wall: core::time::Duration::ZERO,
         sealed_epochs: decoded.sealed_epochs,
+        epoch_tree,
         next_seal_at: decoded.next_seal_at,
         timers: TimerWheel::new(),
         index,
+        by_name: FxHashMap::default(),
         roster: Vec::new(),
         roster_pos: Vec::new(),
         work_of: Vec::new(),
@@ -932,7 +966,9 @@ impl<T: Transport> AttestationService<T> {
     /// Rebuilds a service from a [`AttestationService::snapshot`] plus
     /// the surviving endpoints. Endpoints are matched to snapshot
     /// records by device name; every record must find its endpoint and
-    /// no endpoint may be left over. The restored service resumes
+    /// no endpoint may be left over. The newest sealed epoch's leaves
+    /// must re-hash to its recorded root ([`SnapshotError::BadEpoch`]
+    /// otherwise). The restored service resumes
     /// mid-schedule: with the same transport state, its subsequent event
     /// history is bit-identical to a run that never crashed.
     pub fn restore(

@@ -8,7 +8,7 @@
 use sage_repro::attacks::forge::ReplayTap;
 use sage_repro::core::{agent::DeviceAgent, multi::FleetMember, GpuSession};
 use sage_repro::crypto::{DhGroup, EntropySource};
-use sage_repro::evidence::{Freshness, FreshnessPolicy};
+use sage_repro::evidence::{verify_report, Freshness, FreshnessPolicy};
 use sage_repro::gpu::{Device, DeviceConfig};
 use sage_repro::service::{
     AttestationService, DeviceState, EventKind, Fault, LinkProfile, Policy, ServiceConfig, SimNet,
@@ -400,4 +400,72 @@ fn freshness_decays_without_reattestation_and_reverses_on_a_pass() {
         4,
         "sealed-epoch counter"
     );
+}
+
+/// A modeled fleet member: replay-engine checksum, synthesized timing —
+/// cheap enough for a few-hundred-device fleet in a debug test.
+fn modeled_member(index: usize) -> FleetMember {
+    let session = GpuSession::install_modeled(
+        Device::new(DeviceConfig::sim_nano()),
+        &VfParams::fleet_tiny(),
+        0xF1EE7,
+        10_000,
+    )
+    .expect("install modeled VF");
+    let seed = (index as u8)
+        .wrapping_mul(3)
+        .wrapping_add((index >> 8) as u8)
+        | 1;
+    let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(seed))));
+    m.name = format!("gpu-{index:04}");
+    m
+}
+
+#[test]
+fn every_device_report_verifies_and_only_the_newest_epoch_keeps_leaves() {
+    const FLEET: usize = 240;
+    let cfg = ServiceConfig {
+        reattest_interval: 10_000,
+        epoch_interval: 15_000,
+        ..ServiceConfig::default()
+    };
+    let mut svc = AttestationService::new(cfg, DhGroup::test_group(), perfect_net(11));
+    for i in 0..FLEET {
+        svc.join(modeled_member(i), enclave(i as u8 | 1));
+    }
+    svc.run_until(70_000);
+    let epochs = svc.sealed_epochs();
+    assert!(epochs.len() >= 4, "{} seals", epochs.len());
+    let newest = epochs.last().unwrap().clone();
+
+    // Retained leaves are bounded by the live fleet, not by the epoch
+    // count: superseded epochs keep only their roots.
+    for e in &epochs[..epochs.len() - 1] {
+        assert!(e.leaves.is_empty(), "epoch {} kept its leaves", e.index);
+    }
+    assert_eq!(newest.leaves.len(), FLEET, "one leaf per keyed device");
+    let retained: usize = epochs.iter().map(|e| e.leaves.len()).sum();
+    assert_eq!(retained, FLEET);
+
+    for i in 0..FLEET {
+        let name = format!("gpu-{i:04}");
+        let report = svc
+            .report_for(&name)
+            .expect("device is in the newest epoch");
+        assert_eq!(report.epoch, newest.index, "{name}");
+        let key = svc.evidence_key_of(&name).unwrap();
+        verify_report(&report, &newest.root, &key, svc.now())
+            .unwrap_or_else(|e| panic!("{name}: report rejected: {e:?}"));
+    }
+
+    // A device keyed after the newest seal has no leaf to prove yet, and
+    // an unknown name has no report at all.
+    svc.join(modeled_member(FLEET), enclave(7));
+    assert!(
+        svc.evidence_of("gpu-0240").is_some(),
+        "late joiner is keyed"
+    );
+    assert_eq!(svc.sealed_epochs().last().unwrap().index, newest.index);
+    assert!(svc.report_for("gpu-0240").is_none());
+    assert!(svc.report_for("gpu-9999").is_none());
 }

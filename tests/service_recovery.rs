@@ -16,7 +16,8 @@
 //! 4. **Evidence survives the crash** — a snapshot taken mid-epoch
 //!    carries every device's chain head byte-identically across the
 //!    restore, and the next sealed epoch root matches the uninterrupted
-//!    twin bit for bit.
+//!    twin bit for bit; a newest-epoch leaf that no longer re-hashes to
+//!    its recorded root is refused.
 
 use sage_repro::core::{agent::DeviceAgent, multi::FleetMember, GpuSession};
 use sage_repro::crypto::{DhGroup, EntropySource};
@@ -348,6 +349,38 @@ fn mid_epoch_crash_preserves_chain_heads_and_epoch_roots() {
         verify_report(&report, &root, &key, b.now())
             .expect("post-restore report verifies standalone");
     }
+}
+
+#[test]
+fn restore_rejects_a_snapshot_whose_newest_epoch_leaf_was_doctored() {
+    let mut svc = evidence_fleet(51);
+    svc.run_until(130_000);
+    let epochs = svc.sealed_epochs();
+    assert_eq!(epochs.len(), 2, "two seals (60k, 120k) by the snapshot");
+    assert!(
+        epochs[0].leaves.is_empty(),
+        "superseded epoch keeps its root only"
+    );
+    let newest = epochs.last().unwrap().clone();
+    let leaf = &newest.leaves[0];
+
+    // The snapshot encodes each newest-epoch leaf as `name ‖ head ‖ seq`
+    // after every device record, so the last `head ‖ seq` match is the
+    // leaf itself (a chain record may link to the same head earlier).
+    let mut needle = leaf.head.to_vec();
+    needle.extend_from_slice(&leaf.seq.to_le_bytes());
+    let mut snap = svc.snapshot();
+    let at = snap
+        .windows(needle.len())
+        .rposition(|w| w == needle.as_slice())
+        .expect("newest leaf is in the snapshot");
+    snap[at + 7] ^= 0x10;
+
+    let (net, eps) = svc.into_endpoints();
+    assert!(matches!(
+        AttestationService::restore(evidence_cfg(), DhGroup::test_group(), net, &snap, eps),
+        Err(SnapshotError::BadEpoch { index }) if index == newest.index
+    ));
 }
 
 /// The recovery fleet replicated across an N = 4 verifier quorum with
