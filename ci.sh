@@ -22,7 +22,7 @@ cargo test -q --test service_fleet
 echo "==> telemetry core (counters, histograms, spans, exporters)"
 cargo test -q -p sage-telemetry
 
-echo "==> attack matrix (7 attacks x classic + precomputed verdict paths)"
+echo "==> attack matrix (20 tests: 7 attacks, 8 evidence-tampering and 5 Byzantine campaigns, on the classic and precomputed verdict paths)"
 cargo test -q --test attack_matrix
 
 echo "==> evidence crate (chain, merkle, reports, codec fuzz)"

@@ -5,7 +5,7 @@
 use sage_crypto::canon::{CanonError, Reader};
 use sage_crypto::Sha256;
 
-use crate::record::{EvidencePayload, EvidenceRecord};
+use crate::record::{EvidencePayload, EvidenceRecord, StageVerdict};
 use crate::report::ReportError;
 
 /// Derives the chain's AES-CMAC key from the SAKE session key with a
@@ -30,13 +30,49 @@ pub fn genesis_head(device: &str) -> [u8; 32] {
     h.finalize()
 }
 
-/// A device's append-only evidence chain.
+/// Where a chain's retained records start: the sequence number and
+/// head of the newest record no longer held in memory, plus the
+/// freshness anchor at that point. A fresh chain's anchor is
+/// [`ChainAnchor::genesis`]; [`EvidenceChain::checkpoint`] moves it to
+/// the current head once a sealed epoch commits that head.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ChainAnchor {
+    /// Sequence number of the newest record before the retained suffix
+    /// (0 at genesis).
+    pub seq: u64,
+    /// Link hash the first retained record chains from.
+    pub head: [u8; 32],
+    /// Virtual time of the newest passing record at or before `seq`.
+    pub last_pass_at: Option<u64>,
+}
+
+impl ChainAnchor {
+    /// The anchor of a chain that has never been checkpointed.
+    pub fn genesis(device: &str) -> ChainAnchor {
+        ChainAnchor {
+            seq: 0,
+            head: genesis_head(device),
+            last_pass_at: None,
+        }
+    }
+}
+
+/// A device's append-only evidence chain. Only the records after its
+/// [`ChainAnchor`] stay in memory: a sealed epoch's inclusion proof
+/// commits to everything up to the anchor, so
+/// [`EvidenceChain::checkpoint`] can drop it.
 #[derive(Clone, Debug)]
 pub struct EvidenceChain {
     device: String,
     key: [u8; 16],
+    anchor: ChainAnchor,
+    /// Records `anchor.seq + 1 ..= seq()`, seq-contiguous.
     records: Vec<EvidenceRecord>,
     head: [u8; 32],
+    /// Virtual time of the newest passing record — set on append and
+    /// carried across checkpoints, so it never depends on what is still
+    /// retained.
+    last_pass_at: Option<u64>,
     /// Reused across appends ([`Sha256::finalize_reset`]) so each link
     /// hash costs no allocation or re-buffering.
     hasher: Sha256,
@@ -46,34 +82,45 @@ impl EvidenceChain {
     /// Starts an empty chain for `device`, keyed from the SAKE session
     /// key.
     pub fn new(device: &str, session_key: &[u8; 16]) -> EvidenceChain {
+        let anchor = ChainAnchor::genesis(device);
         EvidenceChain {
             device: device.to_string(),
             key: derive_evidence_key(session_key),
+            anchor,
             records: Vec::new(),
-            head: genesis_head(device),
+            head: anchor.head,
+            last_pass_at: None,
             hasher: Sha256::new(),
         }
     }
 
-    /// Rebuilds a chain from its parts (crash-restore path). The records
-    /// are re-verified link by link; a snapshot that does not re-hash to
-    /// the recorded structure is rejected.
+    /// Rebuilds a chain from its anchor and the records after it
+    /// (crash-restore path). The records are re-verified link by link
+    /// from the anchor; a suffix that does not re-hash to the recorded
+    /// structure is rejected. Whether the anchor itself is trustworthy
+    /// is the caller's check (a sealed epoch's leaf commits to it).
     pub fn restore(
         device: &str,
         evidence_key: [u8; 16],
+        anchor: ChainAnchor,
         records: Vec<EvidenceRecord>,
     ) -> Result<EvidenceChain, ReportError> {
-        let mut chain = EvidenceChain {
+        let head = verify_suffix(&records, anchor.head, anchor.seq, &evidence_key)?;
+        let last_pass_at = records
+            .iter()
+            .rev()
+            .find(|r| r.payload.verdict() == StageVerdict::Pass)
+            .map(|r| r.at)
+            .or(anchor.last_pass_at);
+        Ok(EvidenceChain {
             device: device.to_string(),
             key: evidence_key,
-            records: Vec::new(),
-            head: genesis_head(device),
+            anchor,
+            records,
+            head,
+            last_pass_at,
             hasher: Sha256::new(),
-        };
-        let head = verify_suffix(&records, chain.head, 0, &chain.key)?;
-        chain.head = head;
-        chain.records = records;
-        Ok(chain)
+        })
     }
 
     /// The device this chain belongs to.
@@ -93,24 +140,31 @@ impl EvidenceChain {
         self.head
     }
 
-    /// Sequence number of the newest record (0 while empty).
+    /// Sequence number of the newest record (0 while empty). Counts the
+    /// whole history, checkpointed records included.
     pub fn seq(&self) -> u64 {
-        self.records.last().map(|r| r.seq).unwrap_or(0)
+        self.records.last().map_or(self.anchor.seq, |r| r.seq)
     }
 
-    /// All records, oldest first.
+    /// Where the retained records start.
+    pub fn anchor(&self) -> ChainAnchor {
+        self.anchor
+    }
+
+    /// The retained records (those after the anchor), oldest first.
     pub fn records(&self) -> &[EvidenceRecord] {
         &self.records
     }
 
     /// Records with `seq > after_seq`, oldest first — the chain suffix a
     /// [`crate::report::DeviceReport`] carries past a sealed epoch.
-    pub fn suffix(&self, after_seq: u64) -> Vec<EvidenceRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.seq > after_seq)
-            .cloned()
-            .collect()
+    /// `None` if `after_seq` precedes the anchor: those records were
+    /// checkpointed away.
+    pub fn suffix(&self, after_seq: u64) -> Option<&[EvidenceRecord]> {
+        let skip = after_seq
+            .checked_sub(self.anchor.seq)?
+            .min(self.records.len() as u64);
+        Some(&self.records[skip as usize..])
     }
 
     /// Appends one attested stage at virtual time `at`, returning the
@@ -118,6 +172,9 @@ impl EvidenceChain {
     /// with the chain's reusable streaming hasher.
     pub fn append(&mut self, at: u64, payload: EvidencePayload) -> &EvidenceRecord {
         let seq = self.seq() + 1;
+        if payload.verdict() == StageVerdict::Pass {
+            self.last_pass_at = Some(at);
+        }
         let rec = EvidenceRecord::seal(seq, at, payload, self.head, &self.key);
         self.hasher.update(&rec.encode());
         self.head = self.hasher.finalize_reset();
@@ -125,14 +182,22 @@ impl EvidenceChain {
         self.records.last().expect("just pushed")
     }
 
+    /// Moves the anchor to the current head and drops the retained
+    /// records, keeping their allocation for the next epoch's appends.
+    /// Call it once a sealed epoch commits the current head.
+    pub fn checkpoint(&mut self) {
+        self.anchor = ChainAnchor {
+            seq: self.seq(),
+            head: self.head,
+            last_pass_at: self.last_pass_at,
+        };
+        self.records.clear();
+    }
+
     /// Virtual time of the newest record whose stage passed, if any —
     /// the freshness anchor.
     pub fn last_pass_at(&self) -> Option<u64> {
-        self.records
-            .iter()
-            .rev()
-            .find(|r| r.payload.verdict() == crate::record::StageVerdict::Pass)
-            .map(|r| r.at)
+        self.last_pass_at
     }
 }
 
@@ -198,7 +263,6 @@ pub fn decode_records(r: &mut Reader<'_>) -> Result<Vec<EvidenceRecord>, CanonEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::StageVerdict;
 
     fn liveness(nonce: u64) -> EvidencePayload {
         EvidencePayload::ChannelLiveness {
@@ -296,15 +360,95 @@ mod tests {
         let mut chain = EvidenceChain::new("gpu-a", &[5u8; 16]);
         chain.append(10, liveness(0));
         chain.append(20, liveness(1));
-        let restored =
-            EvidenceChain::restore("gpu-a", chain.evidence_key(), chain.records().to_vec())
-                .unwrap();
+        let genesis = ChainAnchor::genesis("gpu-a");
+        let restored = EvidenceChain::restore(
+            "gpu-a",
+            chain.evidence_key(),
+            genesis,
+            chain.records().to_vec(),
+        )
+        .unwrap();
         assert_eq!(restored.head(), chain.head());
         assert_eq!(restored.seq(), 2);
+        assert_eq!(restored.last_pass_at(), Some(20));
 
         let mut bad = chain.records().to_vec();
         bad[0].at ^= 1;
-        assert!(EvidenceChain::restore("gpu-a", chain.evidence_key(), bad).is_err());
+        assert!(EvidenceChain::restore("gpu-a", chain.evidence_key(), genesis, bad).is_err());
+    }
+
+    #[test]
+    fn checkpoint_keeps_head_and_seq_and_restores_from_the_anchor() {
+        let mut chain = EvidenceChain::new("gpu-a", &[5u8; 16]);
+        for i in 0..3 {
+            chain.append(10 * (i + 1), liveness(i));
+        }
+        let (head, seq) = (chain.head(), chain.seq());
+        chain.checkpoint();
+        assert!(chain.records().is_empty());
+        assert_eq!((chain.head(), chain.seq()), (head, seq));
+        assert_eq!(
+            chain.anchor(),
+            ChainAnchor {
+                seq: 3,
+                head,
+                last_pass_at: Some(30)
+            }
+        );
+        assert_eq!(chain.suffix(3), Some(&[][..]));
+        assert_eq!(chain.suffix(2), None, "records before the anchor are gone");
+
+        chain.append(40, liveness(3));
+        chain.append(50, liveness(4));
+        assert_eq!(chain.records()[0].seq, 4);
+        assert_eq!(chain.suffix(3).unwrap().len(), 2);
+        assert_eq!(chain.suffix(4).unwrap()[0].seq, 5);
+        assert!(chain.suffix(9).unwrap().is_empty());
+        let restored = EvidenceChain::restore(
+            "gpu-a",
+            chain.evidence_key(),
+            chain.anchor(),
+            chain.records().to_vec(),
+        )
+        .unwrap();
+        assert_eq!((restored.head(), restored.seq()), (chain.head(), 5));
+        // The suffix only re-verifies from its own anchor.
+        assert_eq!(
+            EvidenceChain::restore(
+                "gpu-a",
+                chain.evidence_key(),
+                ChainAnchor::genesis("gpu-a"),
+                chain.records().to_vec(),
+            )
+            .err(),
+            Some(ReportError::BadSeq {
+                expected: 1,
+                got: 4
+            })
+        );
+    }
+
+    #[test]
+    fn last_pass_at_survives_a_checkpoint() {
+        let mut chain = EvidenceChain::new("gpu-a", &[5u8; 16]);
+        chain.append(10, liveness(0));
+        chain.checkpoint();
+        chain.append(
+            20,
+            EvidencePayload::ChannelLiveness {
+                nonce: 1,
+                verdict: StageVerdict::Timeout,
+            },
+        );
+        assert_eq!(chain.last_pass_at(), Some(10));
+        let restored = EvidenceChain::restore(
+            "gpu-a",
+            chain.evidence_key(),
+            chain.anchor(),
+            chain.records().to_vec(),
+        )
+        .unwrap();
+        assert_eq!(restored.last_pass_at(), Some(10));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod merkle;
 pub mod record;
 pub mod report;
 
-pub use chain::{derive_evidence_key, genesis_head, verify_suffix, EvidenceChain};
+pub use chain::{derive_evidence_key, genesis_head, verify_suffix, ChainAnchor, EvidenceChain};
 pub use freshness::{Freshness, FreshnessPolicy};
 pub use merkle::{
     epoch_root, prove_inclusion, verify_inclusion, EpochLeaf, EpochTree, InclusionProof, ProofStep,

@@ -384,7 +384,15 @@ mod tests {
             level: POLICY.level(a.last_pass_at(), asserted_at),
         };
         let key = a.evidence_key();
-        let report = DeviceReport::seal(1, leaf, root, proof, a.suffix(3), claim, &key);
+        let report = DeviceReport::seal(
+            1,
+            leaf,
+            root,
+            proof,
+            a.suffix(3).unwrap().to_vec(),
+            claim,
+            &key,
+        );
         (report, root, key)
     }
 

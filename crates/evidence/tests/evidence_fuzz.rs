@@ -263,7 +263,7 @@ fn mutated_reports_never_panic_and_never_verify() {
         leaves[0].clone(),
         root,
         proof,
-        chain.suffix(4),
+        chain.suffix(4).unwrap().to_vec(),
         claim,
         &key,
     );

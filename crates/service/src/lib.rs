@@ -76,7 +76,7 @@ pub use sampling::{
 };
 pub use service::{
     AttestationService, DeviceHealth, DeviceState, DeviceStatus, SealedEpoch, ServiceConfig,
-    VERIFIER_NODE,
+    SEALED_EPOCHS_KEPT, VERIFIER_NODE,
 };
 pub use shard::{FxBuildHasher, FxHashMap, ShardIndex};
 pub use snapshot::{Endpoint, SnapshotError};

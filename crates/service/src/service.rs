@@ -66,7 +66,9 @@ use sage::{GpuSession, SageError};
 use sage_crypto::DhGroup;
 use sage_evidence::merkle::{EpochLeaf, EpochTree};
 use sage_evidence::report::{DeviceReport, FreshnessClaim};
-use sage_evidence::{EvidenceChain, EvidencePath, EvidencePayload, Freshness, StageVerdict};
+use sage_evidence::{
+    EvidenceChain, EvidencePath, EvidencePayload, EvidenceRecord, Freshness, StageVerdict,
+};
 use sage_sgx_sim::Enclave;
 use sage_telemetry::Registry;
 use sage_vf::ReplayPool;
@@ -254,16 +256,14 @@ pub(crate) struct ManagedDevice {
     /// The SAKE session key (verifier side), kept to open liveness
     /// channels and derive the evidence key after a restore.
     pub(crate) session_key: Option<[u8; 16]>,
-    /// The device's evidence chain (present once SAKE established).
+    /// The device's evidence chain (present once SAKE established). Its
+    /// [`EvidenceChain::last_pass_at`] is the freshness anchor.
     pub(crate) evidence: Option<EvidenceChain>,
-    /// Virtual time of the newest passing attestation stage — the
-    /// freshness anchor. Mirrors the chain's newest `Pass` record.
-    pub(crate) last_attested: Option<u64>,
     /// Current freshness level under the configured policy.
     pub(crate) freshness: Freshness,
     /// The armed freshness-decay boundary (the live wheel entry's due
     /// time); a popped timer only fires if it still matches. Derived
-    /// state — rebuilt from `last_attested` on restore, never
+    /// state — rebuilt from the chain's `last_pass_at` on restore, never
     /// snapshotted.
     pub(crate) next_fresh_at: Option<u64>,
     /// Whether the transport link to this device is up. Runtime state
@@ -275,6 +275,14 @@ pub(crate) struct ManagedDevice {
     pub(crate) link_up: bool,
 }
 
+impl ManagedDevice {
+    /// Virtual time of the newest passing attestation stage — the
+    /// freshness anchor (`None` without an evidence chain).
+    pub(crate) fn last_pass_at(&self) -> Option<u64> {
+        self.evidence.as_ref().and_then(EvidenceChain::last_pass_at)
+    }
+}
+
 // Work units for different devices run on pool threads; the disjoint
 // `&mut ManagedDevice` handout below is only sound if the payload is
 // thread-transferable.
@@ -283,6 +291,16 @@ where
     ManagedDevice: Send,
 {
 }
+
+/// How many sealed epochs the service keeps, newest last. Older epochs
+/// are dropped whole (root included); `Counters::epochs_sealed` still
+/// counts every seal. Reports only ever anchor at the newest epoch, so
+/// the window exists for relying parties polling recent roots.
+pub const SEALED_EPOCHS_KEPT: usize = 64;
+
+/// Receives the records an epoch seal checkpoints out of one device's
+/// chain (see [`AttestationService::attach_archive`]).
+type ArchiveSink = Box<dyn FnMut(&str, &[EvidenceRecord]) + Send>;
 
 /// One sealed fleet evidence epoch: the Merkle root over every device's
 /// chain head at the seal instant, plus — for the newest epoch only —
@@ -457,8 +475,9 @@ pub struct AttestationService<T: Transport> {
     /// Wall-clock time spent in pooled bank prefill across every join,
     /// kept out of the enrollment figure benchmarks report.
     pub(crate) prefill_wall: core::time::Duration,
-    /// Sealed fleet evidence epochs, oldest first. Only the newest
-    /// keeps its leaves (see [`SealedEpoch`]).
+    /// The newest [`SEALED_EPOCHS_KEPT`] sealed fleet evidence epochs,
+    /// oldest first. Only the newest keeps its leaves (see
+    /// [`SealedEpoch`]).
     pub(crate) sealed_epochs: Vec<SealedEpoch>,
     /// Every Merkle level of the newest sealed epoch (empty before the
     /// first seal): `report_for` reads its proof siblings from here.
@@ -489,6 +508,9 @@ pub struct AttestationService<T: Transport> {
     /// 1`). Lives outside the per-device state: replicas vote on every
     /// device's verdicts and keep fleet-wide view digests.
     pub(crate) quorum: Option<VerifierSet>,
+    /// Where checkpointed evidence goes (runtime only, never
+    /// snapshotted); `None` frees it.
+    pub(crate) archive: Option<ArchiveSink>,
 }
 
 impl<T: Transport> AttestationService<T> {
@@ -516,6 +538,7 @@ impl<T: Transport> AttestationService<T> {
             pool: (cfg.workers > 0).then(|| ReplayPool::new(cfg.workers)),
             timer_scratch: Vec::new(),
             quorum: VerifierSet::from_config(&cfg.quorum),
+            archive: None,
         }
     }
 
@@ -775,7 +798,7 @@ impl<T: Transport> AttestationService<T> {
         // An established key opens the device's evidence chain: its first
         // record attests the SAKE confirmation (key fingerprint plus the
         // timed establishment round the key's trust rests on).
-        let (session_key, evidence, last_attested) = match outcome {
+        let (session_key, evidence) = match outcome {
             Some(o) => {
                 node.session_key = Some(o.session_key);
                 let mut chain = EvidenceChain::new(&name, &o.session_key);
@@ -787,9 +810,9 @@ impl<T: Transport> AttestationService<T> {
                         threshold_cycles: o.threshold_cycles,
                     },
                 );
-                (Some(o.session_key), Some(chain), Some(self.now))
+                (Some(o.session_key), Some(chain))
             }
-            None => (None, None, None),
+            None => (None, None),
         };
         let slot = self.devices.len();
         self.devices.push(ManagedDevice {
@@ -805,7 +828,6 @@ impl<T: Transport> AttestationService<T> {
             next_action_at,
             session_key,
             evidence,
-            last_attested,
             freshness: Freshness::Trusted,
             next_fresh_at: None,
             link_up: true,
@@ -822,7 +844,7 @@ impl<T: Transport> AttestationService<T> {
     }
 
     /// Arms (or clears) a device's freshness-decay timer from its live
-    /// `last_attested` anchor.
+    /// freshness anchor.
     fn arm_freshness(&mut self, slot: usize) {
         let next = {
             let d = &self.devices[slot];
@@ -832,7 +854,7 @@ impl<T: Transport> AttestationService<T> {
             {
                 self.cfg
                     .freshness
-                    .next_transition_at(d.last_attested, self.now)
+                    .next_transition_at(d.last_pass_at(), self.now)
             } else {
                 None
             }
@@ -1266,10 +1288,26 @@ impl<T: Transport> AttestationService<T> {
             let index = self.sealed_epochs.last().map_or(1, |e| e.index + 1);
             self.log
                 .record(t, "fleet", EventKind::EpochSealed { epoch: index, root });
+            // The leaves now commit every keyed chain's head, so each
+            // chain drops the records up to it (into the archive, if one
+            // is attached).
+            for d in &mut self.devices {
+                if let Some(chain) = d.evidence.as_mut() {
+                    if let Some(sink) = self.archive.as_mut() {
+                        if !chain.records().is_empty() {
+                            sink(&d.node.member.name, chain.records());
+                        }
+                    }
+                    chain.checkpoint();
+                }
+            }
             // Reports anchor at the newest epoch only: the one it
             // supersedes keeps its root and gives up its leaves.
             if let Some(prev) = self.sealed_epochs.last_mut() {
                 prev.leaves = Vec::new();
+            }
+            if self.sealed_epochs.len() == SEALED_EPOCHS_KEPT {
+                self.sealed_epochs.remove(0);
             }
             self.sealed_epochs.push(SealedEpoch {
                 index,
@@ -1372,12 +1410,15 @@ impl<T: Transport> AttestationService<T> {
         let pos = epoch.leaves.partition_point(|l| l.device.as_str() < name);
         let leaf = epoch.leaves.get(pos).filter(|l| l.device == name)?.clone();
         let proof = self.epoch_tree.prove(pos);
-        let suffix = chain.suffix(leaf.seq);
+        // Every keyed chain was checkpointed at this leaf when the epoch
+        // sealed, so the suffix is all the chain retains.
+        let suffix = chain.suffix(leaf.seq)?.to_vec();
+        let last_pass_at = chain.last_pass_at();
         let claim = FreshnessClaim {
             policy: self.cfg.freshness,
-            last_pass_at: d.last_attested,
+            last_pass_at,
             asserted_at: self.now,
-            level: self.cfg.freshness.level(d.last_attested, self.now),
+            level: self.cfg.freshness.level(last_pass_at, self.now),
         };
         Some(DeviceReport::seal(
             epoch.index,
@@ -1390,12 +1431,27 @@ impl<T: Transport> AttestationService<T> {
         ))
     }
 
-    /// Every sealed fleet epoch, oldest first.
+    /// The newest [`SEALED_EPOCHS_KEPT`] sealed fleet epochs, oldest
+    /// first.
     pub fn sealed_epochs(&self) -> &[SealedEpoch] {
         &self.sealed_epochs
     }
 
-    /// A device's evidence chain, if SAKE establishment succeeded.
+    /// Attaches an archive for checkpointed evidence. Every epoch seal
+    /// checkpoints each keyed chain at the head the epoch commits; the
+    /// records it drops are handed to `sink` first, as
+    /// `(device, records)` in slot order, oldest record first, so a
+    /// sink that concatenates them per device holds each chain from
+    /// genesis up to its anchor. Without a sink they are freed. Like
+    /// telemetry, the sink is runtime state: re-attach it after a
+    /// restore.
+    pub fn attach_archive(&mut self, sink: impl FnMut(&str, &[EvidenceRecord]) + Send + 'static) {
+        self.archive = Some(Box::new(sink));
+    }
+
+    /// A device's evidence chain, if SAKE establishment succeeded. It
+    /// retains only the records since the newest seal (see
+    /// [`EvidenceChain::anchor`]).
     pub fn evidence_of(&self, name: &str) -> Option<&EvidenceChain> {
         self.find(name)
             .and_then(|i| self.devices[i].evidence.as_ref())
@@ -2044,11 +2100,7 @@ fn core_append_evidence(
     let Some(chain) = d.evidence.as_mut() else {
         return;
     };
-    let passed = payload.verdict() == StageVerdict::Pass;
     chain.append(now, payload);
-    if passed {
-        d.last_attested = Some(now);
-    }
     core_refresh_freshness(cfg, now, d, fx);
     schedule_freshness(cfg, now, d, fx);
 }
@@ -2059,7 +2111,7 @@ fn core_refresh_freshness(cfg: &ServiceConfig, now: u64, d: &mut ManagedDevice, 
     if d.evidence.is_none() || d.state == DeviceState::Revoked {
         return;
     }
-    let to = cfg.freshness.level(d.last_attested, now);
+    let to = cfg.freshness.level(d.last_pass_at(), now);
     if to == d.freshness {
         return;
     }
@@ -2070,12 +2122,12 @@ fn core_refresh_freshness(cfg: &ServiceConfig, now: u64, d: &mut ManagedDevice, 
 
 /// Requests the device's next freshness-decay timer from its live
 /// anchor. The boundary is strictly in the future and monotone in
-/// `last_attested`, so a superseded timer simply goes stale.
+/// `last_pass_at`, so a superseded timer simply goes stale.
 fn schedule_freshness(cfg: &ServiceConfig, now: u64, d: &mut ManagedDevice, fx: &mut Effects) {
     if !cfg.freshness.is_enabled() || d.evidence.is_none() || d.state == DeviceState::Revoked {
         return;
     }
-    match cfg.freshness.next_transition_at(d.last_attested, now) {
+    match cfg.freshness.next_transition_at(d.last_pass_at(), now) {
         Some(t) => {
             if d.next_fresh_at != Some(t) {
                 d.next_fresh_at = Some(t);

@@ -24,7 +24,7 @@ use sage_crypto::DhGroup;
 use sage_evidence::chain::{decode_records, encode_records};
 use sage_evidence::merkle::{EpochLeaf, EpochTree};
 use sage_evidence::record::EvidenceRecord;
-use sage_evidence::{derive_evidence_key, EvidenceChain, Freshness};
+use sage_evidence::{derive_evidence_key, ChainAnchor, EvidenceChain, Freshness};
 
 use sage_vf::ReplayPool;
 use std::collections::VecDeque;
@@ -35,6 +35,7 @@ use crate::node::DeviceNode;
 use crate::quorum::{VerifierBehavior, VerifierSet};
 use crate::service::{
     AttestationService, DeviceState, ManagedDevice, Outstanding, SealedEpoch, ServiceConfig,
+    SEALED_EPOCHS_KEPT,
 };
 use crate::shard::{FxHashMap, ShardIndex};
 use crate::wheel::TimerWheel;
@@ -50,8 +51,11 @@ const MAGIC: u32 = 0x5A6E_A950;
 /// verifier-quorum layer: per-replica vote state (behavior, suspect
 /// flag, dissent count, evidence-view digest), the outstanding round's
 /// dispatch time (the relay detector's wall anchor), and the
-/// sampling/quorum/relay counters and event kinds.
-const VERSION: u16 = 5;
+/// sampling/quorum/relay counters and event kinds. Version 6 encodes each
+/// evidence chain as its anchor (seq, head and the freshness anchor at
+/// that point) plus the records after it, in place of the whole chain
+/// and a separate freshness anchor.
+const VERSION: u16 = 6;
 
 /// Why a snapshot could not be decoded or re-married to its endpoints.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -77,8 +81,9 @@ pub enum SnapshotError {
     MissingEndpoint(String),
     /// An endpoint was provided for a device the snapshot doesn't know.
     UnknownDevice(String),
-    /// A device's evidence blob does not decode, or its records fail
-    /// re-verification (the chain must re-hash to the recorded heads).
+    /// A device's evidence blob does not decode, its records fail
+    /// re-verification from its anchor, or the anchor is neither
+    /// genesis nor the device's leaf in the newest sealed epoch.
     BadEvidence(String),
     /// The newest sealed epoch's leaves do not re-hash to its recorded
     /// root.
@@ -305,16 +310,19 @@ pub(crate) fn encode<T: Transport>(svc: &AttestationService<T>) -> Vec<u8> {
         match &d.evidence {
             Some(chain) => {
                 out.push(1);
+                let anchor = chain.anchor();
+                put_u64(&mut out, anchor.seq);
+                out.extend_from_slice(&anchor.head);
+                match anchor.last_pass_at {
+                    Some(t) => {
+                        out.push(1);
+                        put_u64(&mut out, t);
+                    }
+                    None => out.push(0),
+                }
                 let blob = encode_records(chain.records());
                 put_u32(&mut out, blob.len() as u32);
                 out.extend_from_slice(&blob);
-            }
-            None => out.push(0),
-        }
-        match d.last_attested {
-            Some(t) => {
-                out.push(1);
-                put_u64(&mut out, t);
             }
             None => out.push(0),
         }
@@ -521,8 +529,7 @@ struct DeviceRecord {
     outstanding: Option<Outstanding>,
     calibration: Option<Calibration>,
     session_key: Option<[u8; 16]>,
-    evidence: Option<Vec<EvidenceRecord>>,
-    last_attested: Option<u64>,
+    evidence: Option<(ChainAnchor, Vec<EvidenceRecord>)>,
     freshness: Freshness,
 }
 
@@ -621,17 +628,21 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
             .then(|| r.fixed::<16>())
             .transpose()?;
         let evidence = if r.flag("evidence")? {
+            let anchor = ChainAnchor {
+                seq: r.u64()?,
+                head: r.fixed::<32>()?,
+                last_pass_at: r.flag("last_pass_at")?.then(|| r.u64()).transpose()?,
+            };
             let len = r.u32()? as usize;
             let blob = r.bytes(len)?;
             let mut cr = sage_crypto::canon::Reader::new(blob);
             let records = decode_records(&mut cr)
                 .and_then(|recs| cr.finish().map(|_| recs))
                 .map_err(|_| SnapshotError::BadEvidence(name.clone()))?;
-            Some(records)
+            Some((anchor, records))
         } else {
             None
         };
-        let last_attested = r.flag("last_attested")?.then(|| r.u64()).transpose()?;
         let freshness = r.freshness()?;
         devices.push(DeviceRecord {
             name,
@@ -647,7 +658,6 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
             calibration,
             session_key,
             evidence,
-            last_attested,
             freshness,
         });
     }
@@ -804,9 +814,15 @@ pub(crate) fn restore<T: Transport>(
     endpoints: Vec<Endpoint>,
 ) -> Result<AttestationService<T>, SnapshotError> {
     let mut decoded = decode(bytes)?;
-    // Only the newest epoch keeps leaves (older snapshots may still
+    let excess = decoded
+        .sealed_epochs
+        .len()
+        .saturating_sub(SEALED_EPOCHS_KEPT);
+    decoded.sealed_epochs.drain(..excess);
+    // Only the newest epoch keeps leaves (a doctored snapshot may still
     // carry superseded ones: drop them), and they must re-hash to its
-    // recorded root before its kept levels serve any report.
+    // recorded root before its kept levels serve any report or vouch
+    // for any chain anchor.
     let epoch_tree = match decoded.sealed_epochs.split_last_mut() {
         Some((newest, superseded)) => {
             for e in superseded {
@@ -845,15 +861,23 @@ pub(crate) fn restore<T: Transport>(
         if let Some(c) = rec.calibration {
             ep.verifier.set_calibration(c);
         }
-        // The evidence chain is rebuilt from its records and re-verified
-        // link by link — a snapshot whose records do not re-hash to the
-        // recorded structure is rejected, and the restored head is
-        // byte-identical to the pre-crash head by construction.
+        // The evidence chain is rebuilt from its anchor and the records
+        // after it, re-verified link by link from the anchor, and the
+        // anchor must be one the newest sealed root vouches for: genesis,
+        // or this device's leaf. Anything else is rejected, and the
+        // restored head is byte-identical to the pre-crash head by
+        // construction.
         let evidence = match (&rec.session_key, rec.evidence) {
-            (Some(sk), Some(records)) => Some(
-                EvidenceChain::restore(&rec.name, derive_evidence_key(sk), records)
-                    .map_err(|_| SnapshotError::BadEvidence(rec.name.clone()))?,
-            ),
+            (Some(sk), Some((anchor, records))) => {
+                let bad = || SnapshotError::BadEvidence(rec.name.clone());
+                if !anchor_is_sealed(&rec.name, &anchor, decoded.sealed_epochs.last()) {
+                    return Err(bad());
+                }
+                Some(
+                    EvidenceChain::restore(&rec.name, derive_evidence_key(sk), anchor, records)
+                        .map_err(|_| bad())?,
+                )
+            }
             (None, Some(_)) => return Err(SnapshotError::BadEvidence(rec.name.clone())),
             _ => None,
         };
@@ -870,10 +894,9 @@ pub(crate) fn restore<T: Transport>(
             next_action_at: rec.next_action_at,
             session_key: rec.session_key,
             evidence,
-            last_attested: rec.last_attested,
             freshness: rec.freshness,
-            // Derived from `last_attested` by `rebuild_schedule` below;
-            // never snapshotted.
+            // Derived from the chain's `last_pass_at` by
+            // `rebuild_schedule` below; never snapshotted.
             next_fresh_at: None,
             // Link state is runtime-only: a restored service starts
             // optimistic and the transport's first events correct it.
@@ -932,9 +955,28 @@ pub(crate) fn restore<T: Transport>(
         pool: worker_pool,
         timer_scratch: Vec::new(),
         quorum,
+        archive: None,
     };
     svc.rebuild_schedule();
     Ok(svc)
+}
+
+/// Whether a restored chain may start at `anchor`: genesis (a chain no
+/// seal has checkpointed yet), or exactly the device's leaf in the
+/// newest sealed epoch, whose leaves were just matched to its root.
+fn anchor_is_sealed(name: &str, anchor: &ChainAnchor, newest: Option<&SealedEpoch>) -> bool {
+    if *anchor == ChainAnchor::genesis(name) {
+        return true;
+    }
+    let Some(epoch) = newest else {
+        return false;
+    };
+    // Leaves are name-sorted; devices sharing a name share a run.
+    let first = epoch.leaves.partition_point(|l| l.device.as_str() < name);
+    epoch.leaves[first..]
+        .iter()
+        .take_while(|l| l.device == name)
+        .any(|l| l.seq == anchor.seq && l.head == anchor.head)
 }
 
 impl<T: Transport> AttestationService<T> {
@@ -968,7 +1010,10 @@ impl<T: Transport> AttestationService<T> {
     /// records by device name; every record must find its endpoint and
     /// no endpoint may be left over. The newest sealed epoch's leaves
     /// must re-hash to its recorded root ([`SnapshotError::BadEpoch`]
-    /// otherwise). The restored service resumes
+    /// otherwise), and every evidence chain must re-verify from an
+    /// anchor that root vouches for ([`SnapshotError::BadEvidence`]
+    /// otherwise). The archive sink is not restored. The restored
+    /// service resumes
     /// mid-schedule: with the same transport state, its subsequent event
     /// history is bit-identical to a run that never crashed.
     pub fn restore(

@@ -30,6 +30,9 @@
 //! honest report accepted on both (zero false accepts, zero false
 //! rejects).
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
 use sage_repro::attacks::{
     datasub, forge::ReplayTap, lepc, memcopy::patch_immediates, nop, proxy::faster_gpu,
     takeover::spin_kernel, Detection,
@@ -39,8 +42,8 @@ use sage_repro::core::{
 };
 use sage_repro::crypto::{DhGroup, EntropySource};
 use sage_repro::evidence::{
-    verify_report, DeviceReport, EvidencePath, EvidencePayload, EvidenceRecord, Freshness,
-    FreshnessPolicy, ReportError, StageVerdict,
+    genesis_head, verify_report, verify_suffix, DeviceReport, EvidencePath, EvidencePayload,
+    EvidenceRecord, Freshness, FreshnessPolicy, ReportError, StageVerdict,
 };
 use sage_repro::gpu::{BusTap, Device, DeviceConfig, LaunchParams};
 use sage_repro::isa::Opcode;
@@ -592,6 +595,7 @@ fn honest_fleet_report(bank_capacity: usize, expected_path: EvidencePath) -> Hon
         ..ServiceConfig::default()
     };
     let mut svc = AttestationService::new(cfg, DhGroup::test_group(), net);
+    let archive = Archive::attach(&mut svc);
     svc.join(
         fleet_member("gpu-a", 41),
         SgxPlatform::new([7u8; 16]).launch(b"svc-verifier", &mut entropy(61)),
@@ -605,10 +609,8 @@ fn honest_fleet_report(bank_capacity: usize, expected_path: EvidencePath) -> Hon
     assert!(svc.probe_device("gpu-a").unwrap(), "second probe answers");
 
     // The history really came from the path under test.
-    let rounds: Vec<EvidencePath> = svc
-        .evidence_of("gpu-a")
-        .unwrap()
-        .records()
+    let rounds: Vec<EvidencePath> = archive
+        .history(&svc, "gpu-a")
         .iter()
         .filter_map(|r| match r.payload {
             EvidencePayload::ChecksumRound { path, .. } => Some(path),
@@ -837,7 +839,47 @@ struct FleetSpec {
     relay_rtt_gate: u64,
 }
 
-fn byzantine_fleet(spec: &FleetSpec, names: &[&str]) -> AttestationService<SimNet> {
+/// Every record a device's chain has held: what the archive sink took
+/// at each epoch seal, keyed by device, ahead of what the chain still
+/// retains.
+#[derive(Clone, Default)]
+struct Archive(Arc<Mutex<HashMap<String, Vec<EvidenceRecord>>>>);
+
+impl Archive {
+    fn attach(svc: &mut AttestationService<SimNet>) -> Archive {
+        let archive = Archive::default();
+        let sink = archive.clone();
+        svc.attach_archive(move |name, records| {
+            let mut map = sink.0.lock().unwrap();
+            map.entry(name.to_string())
+                .or_default()
+                .extend_from_slice(records);
+        });
+        archive
+    }
+
+    /// The device's whole history, archived ++ live, checked to
+    /// re-verify from genesis to the live head.
+    fn history(&self, svc: &AttestationService<SimNet>, name: &str) -> Vec<EvidenceRecord> {
+        let chain = svc.evidence_of(name).unwrap();
+        let mut all = self
+            .0
+            .lock()
+            .unwrap()
+            .get(name)
+            .cloned()
+            .unwrap_or_default();
+        all.extend_from_slice(chain.records());
+        assert_eq!(
+            verify_suffix(&all, genesis_head(name), 0, &chain.evidence_key()),
+            Ok(chain.head()),
+            "{name}: archived ++ live records must re-verify from genesis to the live head"
+        );
+        all
+    }
+}
+
+fn byzantine_fleet(spec: &FleetSpec, names: &[&str]) -> (AttestationService<SimNet>, Archive) {
     let net = SimNet::new(
         7,
         LinkProfile {
@@ -862,13 +904,14 @@ fn byzantine_fleet(spec: &FleetSpec, names: &[&str]) -> AttestationService<SimNe
         ..ServiceConfig::default()
     };
     let mut svc = AttestationService::new(cfg, DhGroup::test_group(), net);
+    let archive = Archive::attach(&mut svc);
     for (i, name) in names.iter().enumerate() {
         svc.join(
             byz_member(name, 41 + i as u8),
             SgxPlatform::new([7u8; 16]).launch(b"svc-verifier", &mut entropy(61 + i as u8)),
         );
     }
-    svc
+    (svc, archive)
 }
 
 /// Installs the §8 replay tap on an enrolled fleet device (the same
@@ -891,11 +934,14 @@ fn fleet_rounds_passed(svc: &AttestationService<SimNet>, name: &str) -> u64 {
 
 /// Asserts every checksum round a device recorded rode the expected
 /// verdict path — proving which path produced the history under test.
-fn assert_fleet_path(svc: &AttestationService<SimNet>, name: &str, expected: EvidencePath) {
-    let rounds: Vec<EvidencePath> = svc
-        .evidence_of(name)
-        .unwrap()
-        .records()
+fn assert_fleet_path(
+    svc: &AttestationService<SimNet>,
+    archive: &Archive,
+    name: &str,
+    expected: EvidencePath,
+) {
+    let rounds: Vec<EvidencePath> = archive
+        .history(svc, name)
         .iter()
         .filter_map(|r| match r.payload {
             EvidencePayload::ChecksumRound { path, .. } => Some(path),
@@ -913,11 +959,11 @@ fn assert_fleet_path(svc: &AttestationService<SimNet>, name: &str, expected: Evi
 /// `(verifier, vote, outcome, votes_accept, votes_reject)`.
 fn quorum_votes_of(
     svc: &AttestationService<SimNet>,
+    archive: &Archive,
     name: &str,
 ) -> Vec<(u16, StageVerdict, StageVerdict, u16, u16)> {
-    svc.evidence_of(name)
-        .unwrap()
-        .records()
+    archive
+        .history(svc, name)
         .iter()
         .filter_map(|r| match r.payload {
             EvidencePayload::QuorumVote {
@@ -943,7 +989,7 @@ fn quorum_votes_of(
 fn colluding_cheaters_under_sampling(bank_capacity: usize, expected_path: EvidencePath) {
     let names = ["gpu-a", "gpu-b", "gpu-c", "gpu-evil1", "gpu-evil2"];
     let evil = ["gpu-evil1", "gpu-evil2"];
-    let mut svc = byzantine_fleet(
+    let (mut svc, archive) = byzantine_fleet(
         &FleetSpec {
             bank_capacity,
             quorum: QuorumConfig::default(),
@@ -1013,7 +1059,7 @@ fn colluding_cheaters_under_sampling(bank_capacity: usize, expected_path: Eviden
     assert_eq!(counters.timing_rejects, 0);
     assert_eq!(counters.relay_rejects, 0);
     for n in names {
-        assert_fleet_path(&svc, n, expected_path);
+        assert_fleet_path(&svc, &archive, n, expected_path);
     }
 }
 
@@ -1035,7 +1081,7 @@ fn colluding_cheaters_under_sampling_rejected_on_precomputed_path() {
 /// accepts, zero false rejects.
 fn lying_verifier_outvoted(bank_capacity: usize, expected_path: EvidencePath) {
     let names = ["gpu-a", "gpu-b", "gpu-evil"];
-    let mut svc = byzantine_fleet(
+    let (mut svc, archive) = byzantine_fleet(
         &FleetSpec {
             bank_capacity,
             quorum: QuorumConfig {
@@ -1106,7 +1152,7 @@ fn lying_verifier_outvoted(bank_capacity: usize, expected_path: EvidencePath) {
 
     // The sealed dissent always records the honest outcome — a false
     // reject on a passing honest round...
-    let honest_dissents = quorum_votes_of(&svc, "gpu-a");
+    let honest_dissents = quorum_votes_of(&svc, &archive, "gpu-a");
     assert!(
         !honest_dissents.is_empty(),
         "false-reject dissents must be sealed into the honest chain"
@@ -1130,7 +1176,7 @@ fn lying_verifier_outvoted(bank_capacity: usize, expected_path: EvidencePath) {
         );
     }
     // ...and a false accept cannot launder the cheater's failures.
-    let laundering: Vec<_> = quorum_votes_of(&svc, "gpu-evil")
+    let laundering: Vec<_> = quorum_votes_of(&svc, &archive, "gpu-evil")
         .into_iter()
         .filter(|(_, _, outcome, _, _)| *outcome != StageVerdict::Pass)
         .collect();
@@ -1149,7 +1195,7 @@ fn lying_verifier_outvoted(bank_capacity: usize, expected_path: EvidencePath) {
         );
     }
     for n in names {
-        assert_fleet_path(&svc, n, expected_path);
+        assert_fleet_path(&svc, &archive, n, expected_path);
     }
 }
 
@@ -1170,7 +1216,7 @@ fn lying_verifier_outvoted_on_precomputed_path() {
 fn colluding_verifier_minority_outvoted(bank_capacity: usize, expected_path: EvidencePath) {
     let names = ["gpu-a", "gpu-b", "gpu-evil"];
     let colluders = [2usize, 5];
-    let mut svc = byzantine_fleet(
+    let (mut svc, archive) = byzantine_fleet(
         &FleetSpec {
             bank_capacity,
             quorum: QuorumConfig {
@@ -1229,7 +1275,7 @@ fn colluding_verifier_minority_outvoted(bank_capacity: usize, expected_path: Evi
     // Every sealed vote shows the five honest replicas clearing the
     // threshold against the two lies, with the outcome never flipped.
     for n in names {
-        for (verifier, vote, outcome, acc, rej) in quorum_votes_of(&svc, n) {
+        for (verifier, vote, outcome, acc, rej) in quorum_votes_of(&svc, &archive, n) {
             assert!(
                 colluders.contains(&usize::from(verifier)),
                 "{n}: only colluders dissent"
@@ -1249,7 +1295,7 @@ fn colluding_verifier_minority_outvoted(bank_capacity: usize, expected_path: Evi
                 );
             }
         }
-        assert_fleet_path(&svc, n, expected_path);
+        assert_fleet_path(&svc, &archive, n, expected_path);
     }
 }
 
@@ -1271,7 +1317,7 @@ fn colluding_verifier_minority_outvoted_on_precomputed_path() {
 /// `relay`, never restartable, straight to quarantine.
 fn relay_outsourcing_caught_by_topology(bank_capacity: usize, expected_path: EvidencePath) {
     let names = ["gpu-a", "gpu-relay"];
-    let mut svc = byzantine_fleet(
+    let (mut svc, archive) = byzantine_fleet(
         &FleetSpec {
             bank_capacity,
             quorum: QuorumConfig::default(),
@@ -1341,10 +1387,8 @@ fn relay_outsourcing_caught_by_topology(bank_capacity: usize, expected_path: Evi
 
     // The evidence chain records the relayed rounds as TooSlow on the
     // path under test (timing-class failure, §7.2 ∪ topology).
-    let verdicts: Vec<StageVerdict> = svc
-        .evidence_of("gpu-relay")
-        .unwrap()
-        .records()
+    let verdicts: Vec<StageVerdict> = archive
+        .history(&svc, "gpu-relay")
         .iter()
         .filter_map(|r| match r.payload {
             EvidencePayload::ChecksumRound { verdict, .. } => Some(verdict),
@@ -1360,7 +1404,7 @@ fn relay_outsourcing_caught_by_topology(bank_capacity: usize, expected_path: Evi
         "every relay reject is sealed as a TooSlow round"
     );
     for n in names {
-        assert_fleet_path(&svc, n, expected_path);
+        assert_fleet_path(&svc, &archive, n, expected_path);
     }
 }
 
@@ -1385,7 +1429,7 @@ fn unsampled_epoch_cheater_caught_within_model(bank_capacity: usize, expected_pa
         seed: 0x5A37,
     };
     let names = ["gpu-a", "gpu-cheat"];
-    let mut svc = byzantine_fleet(
+    let (mut svc, archive) = byzantine_fleet(
         &FleetSpec {
             bank_capacity,
             quorum: QuorumConfig::default(),
@@ -1482,7 +1526,7 @@ fn unsampled_epoch_cheater_caught_within_model(bank_capacity: usize, expected_pa
     assert_eq!(counters.quarantines, 1);
     assert!(counters.value_rejects >= u64::from(Policy::default().value_quarantine_after));
     for n in names {
-        assert_fleet_path(&svc, n, expected_path);
+        assert_fleet_path(&svc, &archive, n, expected_path);
     }
 }
 

@@ -116,7 +116,7 @@ fn run_history(cfg: ServiceConfig, seed: u64) -> History {
     let mut heads = Vec::new();
     for s in svc.statuses() {
         let chain = svc.evidence_of(&s.name).expect("evidence chain");
-        heads.push((s.name.clone(), chain.head(), chain.records().len() as u64));
+        heads.push((s.name.clone(), chain.head(), chain.seq()));
     }
     History {
         heads,

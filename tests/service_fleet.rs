@@ -8,11 +8,13 @@
 use sage_repro::attacks::forge::ReplayTap;
 use sage_repro::core::{agent::DeviceAgent, multi::FleetMember, GpuSession};
 use sage_repro::crypto::{DhGroup, EntropySource};
-use sage_repro::evidence::{verify_report, Freshness, FreshnessPolicy};
+use std::sync::{Arc, Mutex};
+
+use sage_repro::evidence::{verify_report, ChainAnchor, Freshness, FreshnessPolicy};
 use sage_repro::gpu::{Device, DeviceConfig};
 use sage_repro::service::{
     AttestationService, DeviceState, EventKind, Fault, LinkProfile, Policy, ServiceConfig, SimNet,
-    VERIFIER_NODE,
+    SEALED_EPOCHS_KEPT, VERIFIER_NODE,
 };
 use sage_repro::sgx::{Enclave, SgxPlatform};
 use sage_repro::telemetry::{MetricValue, Registry};
@@ -468,4 +470,108 @@ fn every_device_report_verifies_and_only_the_newest_epoch_keeps_leaves() {
     assert_eq!(svc.sealed_epochs().last().unwrap().index, newest.index);
     assert!(svc.report_for("gpu-0240").is_none());
     assert!(svc.report_for("gpu-9999").is_none());
+}
+
+#[test]
+fn chains_retain_at_most_one_epoch_of_records() {
+    const FLEET: usize = 64;
+    let cfg = ServiceConfig {
+        reattest_interval: 10_000,
+        epoch_interval: 15_000,
+        ..ServiceConfig::default()
+    };
+    let mut svc = AttestationService::new(cfg, DhGroup::test_group(), perfect_net(12));
+    // The archive sink sees one batch per device per seal: the records
+    // that device appended during the epoch just sealed.
+    let batches: Arc<Mutex<Vec<usize>>> = Arc::default();
+    let sink = Arc::clone(&batches);
+    svc.attach_archive(move |_, records| sink.lock().unwrap().push(records.len()));
+    for i in 0..FLEET {
+        svc.join(modeled_member(i), enclave(i as u8 | 1));
+    }
+    svc.run_until(160_000);
+    let newest = svc.sealed_epochs().last().unwrap().clone();
+    assert!(newest.index >= 10, "{} seals", newest.index);
+
+    let batches = batches.lock().unwrap().clone();
+    let most_in_one_epoch = batches.iter().copied().max().unwrap();
+    let statuses = svc.statuses();
+    let live = statuses
+        .iter()
+        .filter(|s| s.state != DeviceState::Revoked)
+        .count();
+    let chains: Vec<_> = statuses
+        .iter()
+        .map(|s| svc.evidence_of(&s.name).unwrap())
+        .collect();
+    let kept: usize = chains.iter().map(|c| c.records().len()).sum();
+    assert!(
+        kept <= live * most_in_one_epoch,
+        "{kept} records kept across {live} chains, at most {most_in_one_epoch} per device-epoch"
+    );
+    // Nothing went missing: archived plus kept is every record appended.
+    let appended: u64 = chains.iter().map(|c| c.seq()).sum();
+    assert_eq!((batches.iter().sum::<usize>() + kept) as u64, appended);
+    // Every chain is anchored at its leaf in the newest epoch.
+    for c in &chains {
+        let leaf = newest
+            .leaves
+            .iter()
+            .find(|l| l.device == c.device())
+            .unwrap();
+        let anchor = c.anchor();
+        assert_eq!(
+            (anchor.seq, anchor.head),
+            (leaf.seq, leaf.head),
+            "{}",
+            c.device()
+        );
+    }
+
+    // A device keyed after the seal keeps its chain from genesis until
+    // the next seal checkpoints it too.
+    svc.join(modeled_member(FLEET), enclave(7));
+    let late = "gpu-0064";
+    assert_eq!(
+        svc.evidence_of(late).unwrap().anchor(),
+        ChainAnchor::genesis(late)
+    );
+    svc.run_until(newest.at + 15_000);
+    let leaf = svc
+        .sealed_epochs()
+        .last()
+        .unwrap()
+        .leaves
+        .iter()
+        .find(|l| l.device == late)
+        .cloned()
+        .expect("the late joiner is in the next epoch");
+    let anchor = svc.evidence_of(late).unwrap().anchor();
+    assert_eq!((anchor.seq, anchor.head), (leaf.seq, leaf.head));
+}
+
+#[test]
+fn sealed_epochs_keep_a_bounded_window_and_count_every_seal() {
+    const SEALS: u64 = SEALED_EPOCHS_KEPT as u64 + 6;
+    let cfg = ServiceConfig {
+        reattest_interval: 10_000,
+        epoch_interval: 1_000,
+        ..ServiceConfig::default()
+    };
+    let mut svc = AttestationService::new(cfg, DhGroup::test_group(), perfect_net(13));
+    for i in 0..4 {
+        svc.join(modeled_member(i), enclave(i as u8 | 1));
+    }
+    svc.run_until(SEALS * 1_000 + 500);
+    assert_eq!(svc.log().counters().epochs_sealed, SEALS);
+    let epochs = svc.sealed_epochs();
+    assert_eq!(epochs.len(), SEALED_EPOCHS_KEPT);
+    let indexes: Vec<u64> = epochs.iter().map(|e| e.index).collect();
+    let want: Vec<u64> = (SEALS - SEALED_EPOCHS_KEPT as u64 + 1..=SEALS).collect();
+    assert_eq!(indexes, want, "the newest epochs, oldest first");
+    let newest = epochs.last().unwrap();
+    assert_eq!(newest.leaves.len(), 4);
+    let report = svc.report_for("gpu-0000").unwrap();
+    let key = svc.evidence_key_of("gpu-0000").unwrap();
+    verify_report(&report, &newest.root, &key, svc.now()).expect("report verifies");
 }

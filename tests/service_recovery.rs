@@ -383,6 +383,129 @@ fn restore_rejects_a_snapshot_whose_newest_epoch_leaf_was_doctored() {
     ));
 }
 
+#[test]
+fn restore_rejects_a_chain_anchor_the_newest_epoch_does_not_vouch_for() {
+    // At the 120k seal every chain was just checkpointed, so its suffix
+    // is empty and only the anchor-vs-leaf check can catch a doctored
+    // anchor; by 160k gpu-a has appended past it, so the suffix no
+    // longer links to the doctored anchor either.
+    for (crash_at, suffix_empty) in [(120_000u64, true), (160_000, false)] {
+        let mut svc = evidence_fleet(51);
+        svc.run_until(crash_at);
+        let chain = svc.evidence_of("gpu-a").unwrap();
+        assert_eq!(
+            chain.records().is_empty(),
+            suffix_empty,
+            "{crash_at}: records since the seal"
+        );
+        let anchor = chain.anchor();
+        let newest = svc.sealed_epochs().last().unwrap();
+        let leaf = newest.leaves.iter().find(|l| l.device == "gpu-a").unwrap();
+        assert_eq!(
+            (anchor.seq, anchor.head),
+            (leaf.seq, leaf.head),
+            "{crash_at}: the chain is checkpointed at its leaf"
+        );
+
+        // A v6 device record encodes its anchor as `seq ‖ head`; device
+        // records precede the epochs, so the first match is gpu-a's.
+        let mut needle = anchor.seq.to_le_bytes().to_vec();
+        needle.extend_from_slice(&anchor.head);
+        let mut snap = svc.snapshot();
+        let at = snap
+            .windows(needle.len())
+            .position(|w| w == needle.as_slice())
+            .expect("anchor is in the snapshot");
+        snap[at + 8 + 5] ^= 0x10;
+
+        let (net, eps) = svc.into_endpoints();
+        assert_eq!(
+            AttestationService::restore(evidence_cfg(), DhGroup::test_group(), net, &snap, eps)
+                .err(),
+            Some(SnapshotError::BadEvidence("gpu-a".to_string())),
+            "{crash_at}: a doctored anchor must be refused"
+        );
+    }
+}
+
+/// A modeled fleet member (replay-engine checksum, synthesized timing):
+/// cheap enough for a few dozen devices in a debug test.
+fn modeled_member(index: usize) -> FleetMember {
+    let session = GpuSession::install_modeled(
+        Device::new(DeviceConfig::sim_nano()),
+        &VfParams::fleet_tiny(),
+        0xF1EE7,
+        10_000,
+    )
+    .expect("install modeled VF");
+    let mut m = FleetMember::new(
+        session,
+        DeviceAgent::new(Box::new(entropy(index as u8 | 1))),
+    );
+    m.name = format!("gpu-{index:04}");
+    m
+}
+
+#[test]
+fn snapshot_size_is_bounded_across_epochs() {
+    // Several rounds per device per epoch, and an event log that retains
+    // exactly one event (a ring of capacity c keeps between c and 2c − 1),
+    // so what the snapshot carries past fixed state is evidence and the
+    // sealed-epoch window.
+    const FLEET: usize = 32;
+    let cfg = ServiceConfig {
+        reattest_interval: 10_000,
+        epoch_interval: 60_000,
+        event_capacity: 1,
+        ..ServiceConfig::default()
+    };
+    let mut svc = AttestationService::new(cfg, DhGroup::test_group(), perfect_net(3));
+    for i in 0..FLEET {
+        svc.join(modeled_member(i), enclave(i as u8 | 1));
+    }
+    let mut sizes = Vec::new();
+    for epoch in 1..=12u64 {
+        svc.run_until(epoch * 60_000 + 1);
+        sizes.push(svc.snapshot().len());
+    }
+    assert_eq!(svc.sealed_epochs().last().unwrap().index, 12);
+    let records: u64 = svc
+        .statuses()
+        .iter()
+        .map(|s| svc.evidence_of(&s.name).unwrap().seq())
+        .sum();
+    assert!(
+        records >= 12 * 2 * FLEET as u64,
+        "{records} records appended"
+    );
+    let (at3, at12) = (sizes[2] as f64, sizes[11] as f64);
+    assert!(
+        (at12 - at3).abs() <= 0.10 * at3,
+        "snapshot grew from {at3} B at epoch 3 to {at12} B at epoch 12: {sizes:?}"
+    );
+
+    // The bounded snapshot still restores to a service that mints
+    // verifiable reports.
+    let snap = svc.snapshot();
+    let (net, eps) = svc.into_endpoints();
+    let svc = AttestationService::restore(cfg, DhGroup::test_group(), net, &snap, eps)
+        .expect("epoch-12 snapshot restores");
+    let root = svc.sealed_epochs().last().unwrap().root;
+    for i in [0, FLEET - 1] {
+        let name = format!("gpu-{i:04}");
+        let report = svc
+            .report_for(&name)
+            .expect("device is in the newest epoch");
+        verify_report(
+            &report,
+            &root,
+            &svc.evidence_key_of(&name).unwrap(),
+            svc.now(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: report rejected: {e:?}"));
+    }
+}
+
 /// The recovery fleet replicated across an N = 4 verifier quorum with
 /// one replica turned Byzantine, so a crash has *quorum* state to lose:
 /// per-replica suspicion flags, dissent counts, rolling evidence-view

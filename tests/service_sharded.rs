@@ -108,7 +108,7 @@ fn history_of(svc: &AttestationService<SimNet>) -> History {
     let mut heads = Vec::new();
     for s in svc.statuses() {
         let chain = svc.evidence_of(&s.name).expect("evidence chain");
-        heads.push((s.name.clone(), chain.head(), chain.records().len() as u64));
+        heads.push((s.name.clone(), chain.head(), chain.seq()));
     }
     History {
         snapshot: svc.snapshot(),
