@@ -12,6 +12,10 @@
 //! | `inclusion`   | §7.3 — memory-region inclusion probability        |
 //! | `trng_eval`   | §6.6 — TRNG statistics (ENT + NIST subset)        |
 //!
+//! The attestation round's end-to-end performance is measured by
+//! `perfbench/` at the repository root; the wall-clock gates CI holds
+//! the code to live in `tests/perf_gates.rs`.
+//!
 //! Scale note: the paper runs 108 SMs × 100 000 iterations on silicon;
 //! the simulator runs a 2-SM device at proportionally reduced iteration
 //! counts (`SCALE` constants below). Cycle counts are reported raw and
@@ -226,8 +230,8 @@ pub fn measure(
     })
 }
 
-/// The shared `host` stanza every `BENCH_*.json` artifact embeds, so a
-/// recorded number can always be traced to the machine that produced it
+/// The `host` stanza `perfbench` embeds in every report, so a recorded
+/// number can always be traced to the machine that produced it
 /// (wall-clock figures are meaningless across hosts otherwise). Returns
 /// a JSON object: `{"cores": N, "rustc": "rustc 1.x.y (…)"}`.
 pub fn host_stanza() -> String {

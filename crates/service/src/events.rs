@@ -1,5 +1,7 @@
 //! Structured event log and counters — the control plane's observability
-//! surface, exported as JSON for dashboards and the `svcperf` benchmark.
+//! surface, exported as JSON for dashboards and as telemetry series.
+
+use std::collections::HashMap;
 
 use sage_evidence::Freshness;
 use sage_telemetry::{Counter, Histogram, Registry};
@@ -194,24 +196,9 @@ pub struct Counters {
     pub relay_rejects: u64,
 }
 
-/// Round-latency distribution over passed rounds, in virtual ticks
-/// (nearest-rank percentiles — reproducible for a fixed seed).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LatencyPercentiles {
-    /// Passed rounds measured.
-    pub samples: usize,
-    /// Median round latency.
-    pub p50: u64,
-    /// 90th-percentile round latency.
-    pub p90: u64,
-    /// 99th-percentile round latency.
-    pub p99: u64,
-}
-
 /// The telemetry sink mirroring [`Counters`] into registry series,
 /// plus a virtual-tick round-latency histogram fed by pairing each
-/// `RoundStarted` with its `RoundPassed` (the same pairing
-/// [`EventLog::round_latencies`] computes after the fact).
+/// `RoundStarted` with its `RoundPassed`.
 struct LogTelemetry {
     joins: Counter,
     leaves: Counter,
@@ -235,8 +222,11 @@ struct LogTelemetry {
     /// Events evicted from the bounded in-memory ring.
     events_dropped: Counter,
     round_latency: Histogram,
-    /// Rounds started but not yet passed: `(device, round, started_at)`.
-    open_rounds: Vec<(String, u64, u64)>,
+    /// Each device's open round: `device → (round, started_at)`. A
+    /// device has at most one round outstanding, and its round ids only
+    /// grow, so the entry is replaced by the next `RoundStarted` and
+    /// removed when the round passes or fails or the device leaves.
+    open_rounds: HashMap<String, (u64, u64)>,
 }
 
 impl LogTelemetry {
@@ -268,14 +258,17 @@ impl LogTelemetry {
             verifier_suspects: reg.counter("service_verifier_suspects_total", &[]),
             events_dropped: reg.counter("service_events_dropped_total", &[]),
             round_latency: reg.histogram("service_round_latency_ticks", &[]),
-            open_rounds: Vec::new(),
+            open_rounds: HashMap::new(),
         }
     }
 
     fn observe(&mut self, at: u64, device: &str, kind: &EventKind) {
         match kind {
             EventKind::Joined => self.joins.inc(),
-            EventKind::Left => self.leaves.inc(),
+            EventKind::Left => {
+                self.leaves.inc();
+                self.open_rounds.remove(device);
+            }
             EventKind::CalibrationFailed => self.calibration_failures.inc(),
             EventKind::EstablishFailed => {}
             EventKind::StateChanged { to, .. } => {
@@ -285,20 +278,18 @@ impl LogTelemetry {
             }
             EventKind::RoundStarted { round } => {
                 self.rounds_started.inc();
-                self.open_rounds.push((device.to_string(), *round, at));
+                self.open_rounds.insert(device.to_string(), (*round, at));
             }
             EventKind::RoundPassed { round, .. } => {
                 self.rounds_passed.inc();
-                if let Some(i) = self
-                    .open_rounds
-                    .iter()
-                    .position(|(d, r, _)| d == device && r == round)
-                {
-                    let (_, _, started) = self.open_rounds.swap_remove(i);
+                if let Some(started) = self.close_round(device, *round) {
                     self.round_latency.record(at - started);
                 }
             }
-            EventKind::RoundFailed { reason, .. } => self.round_failed[*reason as usize].inc(),
+            EventKind::RoundFailed { round, reason } => {
+                self.round_failed[*reason as usize].inc();
+                self.close_round(device, *round);
+            }
             EventKind::Restarted { .. } => self.restarts.inc(),
             EventKind::LateResponse { .. } => self.late_responses.inc(),
             EventKind::FreshnessChanged { to, .. } => {
@@ -310,6 +301,18 @@ impl LogTelemetry {
             EventKind::SpotCheckSkipped { .. } => self.spotcheck_skips.inc(),
             EventKind::QuorumDisputed { .. } => self.quorum_disputes.inc(),
             EventKind::VerifierSuspected { .. } => self.verifier_suspects.inc(),
+        }
+    }
+
+    /// Removes `device`'s open round if it is `round`, returning the
+    /// tick it started at.
+    fn close_round(&mut self, device: &str, round: u64) -> Option<u64> {
+        match self.open_rounds.get(device) {
+            Some(&(open, started)) if open == round => {
+                self.open_rounds.remove(device);
+                Some(started)
+            }
+            _ => None,
         }
     }
 }
@@ -464,77 +467,6 @@ impl EventLog {
         self.capacity
     }
 
-    /// Virtual-tick latency of every passed round: the delta between a
-    /// device's `RoundStarted` and the matching `RoundPassed`, in event
-    /// order. Rounds that failed, restarted, or are still outstanding
-    /// contribute nothing.
-    pub fn round_latencies(&self) -> Vec<u64> {
-        let mut open: Vec<(&str, u64, u64)> = Vec::new(); // (device, round, at)
-        let mut out = Vec::new();
-        for e in &self.events {
-            match e.kind {
-                EventKind::RoundStarted { round } => {
-                    open.push((&e.device, round, e.at));
-                }
-                EventKind::RoundPassed { round, .. } => {
-                    if let Some(i) = open
-                        .iter()
-                        .position(|&(d, r, _)| d == e.device && r == round)
-                    {
-                        let (_, _, started) = open.swap_remove(i);
-                        out.push(e.at - started);
-                    }
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// p50/p90/p99 of the passed-round latencies (nearest-rank on the
-    /// sorted samples — deterministic, no interpolation). `None` until at
-    /// least one round has passed.
-    ///
-    /// Once the bounded ring has wrapped, the retained events no longer
-    /// cover every passed round, so the exact per-event computation
-    /// would silently report a recent-window artifact. With telemetry
-    /// attached the query falls back to the registry's
-    /// `service_round_latency_ticks` histogram, which observed every
-    /// round (interpolated log2-bucket percentiles); without a sink it
-    /// degrades to the retained window.
-    pub fn latency_percentiles(&self) -> Option<LatencyPercentiles> {
-        if self.events_dropped > 0 {
-            if let Some(sink) = &self.sink {
-                let snap = sink.round_latency.snapshot();
-                if snap.count() == 0 {
-                    return None;
-                }
-                return Some(LatencyPercentiles {
-                    samples: snap.count() as usize,
-                    p50: snap.percentile(0.50)?,
-                    p90: snap.percentile(0.90)?,
-                    p99: snap.percentile(0.99)?,
-                });
-            }
-        }
-        let mut lat = self.round_latencies();
-        if lat.is_empty() {
-            return None;
-        }
-        lat.sort_unstable();
-        let rank = |q: f64| {
-            let n = lat.len();
-            let idx = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
-            lat[idx]
-        };
-        Some(LatencyPercentiles {
-            samples: lat.len(),
-            p50: rank(0.50),
-            p90: rank(0.90),
-            p99: rank(0.99),
-        })
-    }
-
     /// Current counter snapshot.
     pub fn counters(&self) -> Counters {
         self.counters
@@ -673,6 +605,7 @@ fn kind_json(kind: &EventKind) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sage_telemetry::{HistogramSnapshot, MetricValue};
 
     #[test]
     fn counters_track_events() {
@@ -703,105 +636,23 @@ mod tests {
         assert_eq!(log.events().len(), 4);
     }
 
-    #[test]
-    fn latency_percentiles_match_started_passed_pairs() {
-        let mut log = EventLog::new();
-        // Device a: rounds taking 10, 30, 20 ticks; device b: one round
-        // of 40 ticks interleaved; one failed round contributes nothing.
-        let pairs = [("a", 1, 0, 10), ("a", 2, 100, 130), ("a", 3, 200, 220)];
-        log.record(50, "b", EventKind::RoundStarted { round: 1 });
-        for (dev, round, start, end) in pairs {
-            log.record(start, dev, EventKind::RoundStarted { round });
-            log.record(
-                end,
-                dev,
-                EventKind::RoundPassed {
-                    round,
-                    measured: 99,
-                },
-            );
-        }
-        log.record(
-            90,
-            "b",
-            EventKind::RoundPassed {
-                round: 1,
-                measured: 99,
-            },
-        );
-        log.record(300, "a", EventKind::RoundStarted { round: 4 });
-        log.record(
-            310,
-            "a",
-            EventKind::RoundFailed {
-                round: 4,
-                reason: FailReason::TooSlow,
-            },
-        );
-        assert_eq!(log.round_latencies(), vec![10, 30, 20, 40]);
-        let p = log.latency_percentiles().unwrap();
-        assert_eq!(p.samples, 4);
-        assert_eq!(p.p50, 20);
-        assert_eq!(p.p90, 40);
-        assert_eq!(p.p99, 40);
+    fn latency_histogram(reg: &Registry) -> HistogramSnapshot {
+        reg.collect()
+            .into_iter()
+            .find_map(|(name, _, v)| match (name.as_str(), v) {
+                ("service_round_latency_ticks", MetricValue::Histogram(s)) => Some(s),
+                _ => None,
+            })
+            .expect("latency histogram registered")
     }
 
-    #[test]
-    fn latency_percentiles_empty_without_passes() {
-        assert!(EventLog::new().latency_percentiles().is_none());
-        let mut log = EventLog::new();
-        log.record(0, "a", EventKind::RoundStarted { round: 1 });
-        assert!(log.latency_percentiles().is_none());
-    }
-
-    #[test]
-    fn single_sample_is_every_percentile() {
-        let mut log = EventLog::new();
-        log.record(10, "a", EventKind::RoundStarted { round: 1 });
-        log.record(
-            17,
-            "a",
-            EventKind::RoundPassed {
-                round: 1,
-                measured: 1,
-            },
-        );
-        let p = log.latency_percentiles().unwrap();
-        assert_eq!(p.samples, 1);
-        assert_eq!((p.p50, p.p90, p.p99), (7, 7, 7));
-    }
-
-    /// Hand-computed nearest-rank oracle over ten known samples:
-    /// ranks ⌈0.50·10⌉ = 5, ⌈0.90·10⌉ = 9, ⌈0.99·10⌉ = 10.
-    #[test]
-    fn ten_sample_nearest_rank_oracle() {
-        let latencies = [31u64, 2, 19, 7, 43, 11, 5, 23, 13, 3];
-        let mut log = EventLog::new();
-        for (i, lat) in latencies.iter().enumerate() {
-            let round = i as u64 + 1;
-            let start = i as u64 * 1000;
-            log.record(start, "a", EventKind::RoundStarted { round });
-            log.record(
-                start + lat,
-                "a",
-                EventKind::RoundPassed { round, measured: 1 },
-            );
-        }
-        // Sorted: [2, 3, 5, 7, 11, 13, 19, 23, 31, 43].
-        let p = log.latency_percentiles().unwrap();
-        assert_eq!(p.samples, 10);
-        assert_eq!(p.p50, 11, "rank 5 of the sorted samples");
-        assert_eq!(p.p90, 31, "rank 9 of the sorted samples");
-        assert_eq!(p.p99, 43, "rank 10 of the sorted samples");
-    }
-
-    /// The attached telemetry histogram answers the same percentile
-    /// queries interpolated within the containing log2 bucket: the
-    /// reported value shares the exact answer's bucket (≤ 2× relative
-    /// error), it just sits elsewhere inside it.
+    /// The attached telemetry histogram answers percentile queries
+    /// interpolated within the containing log2 bucket: the reported
+    /// value shares the exact nearest-rank answer's bucket (≤ 2×
+    /// relative error), it just sits elsewhere inside it.
     #[test]
     fn telemetry_histogram_agrees_within_one_bucket() {
-        use sage_telemetry::{bucket_bounds, bucket_index, MetricValue, Registry};
+        use sage_telemetry::{bucket_bounds, bucket_index};
 
         let latencies = [31u64, 2, 19, 7, 43, 11, 5, 23, 13, 3];
         let reg = Registry::new();
@@ -817,17 +668,11 @@ mod tests {
                 EventKind::RoundPassed { round, measured: 1 },
             );
         }
-        let exact = log.latency_percentiles().unwrap();
-        let snap = reg
-            .collect()
-            .into_iter()
-            .find_map(|(name, _, v)| match (name.as_str(), v) {
-                ("service_round_latency_ticks", MetricValue::Histogram(s)) => Some(s),
-                _ => None,
-            })
-            .expect("latency histogram registered");
+        let snap = latency_histogram(&reg);
         assert_eq!(snap.count(), 10);
-        for (q, exact) in [(0.50, exact.p50), (0.90, exact.p90), (0.99, exact.p99)] {
+        // Sorted: [2, 3, 5, 7, 11, 13, 19, 23, 31, 43]; nearest ranks
+        // ⌈0.50·10⌉ = 5, ⌈0.90·10⌉ = 9, ⌈0.99·10⌉ = 10.
+        for (q, exact) in [(0.50, 11), (0.90, 31), (0.99, 43)] {
             let reported = snap.percentile(q).unwrap();
             let (lo, hi) = bucket_bounds(bucket_index(exact));
             assert!(
@@ -875,12 +720,11 @@ mod tests {
         assert_eq!(log.events_dropped(), 0);
     }
 
-    /// After the ring wraps, exact per-event percentiles are a window
-    /// artifact — the query must fall back to the attached telemetry
-    /// histogram, which observed every round.
+    /// The latency histogram observes every round, including those the
+    /// bounded ring has since evicted.
     #[test]
-    fn wrapped_log_falls_back_to_telemetry_histogram() {
-        use sage_telemetry::{bucket_bounds, bucket_index, Registry};
+    fn latency_histogram_covers_rounds_the_ring_evicted() {
+        use sage_telemetry::{bucket_bounds, bucket_index};
 
         let reg = Registry::new();
         let mut log = EventLog::with_capacity(6);
@@ -898,21 +742,59 @@ mod tests {
             );
         }
         assert!(log.events_dropped() > 0, "ring must have wrapped");
-        let p = log.latency_percentiles().unwrap();
-        // The fallback sees all 51 samples, not just the retained tail.
-        assert_eq!(p.samples, 51);
+        let snap = latency_histogram(&reg);
+        // All 51 samples, not just the retained tail.
+        assert_eq!(snap.count(), 51);
+        let p50 = snap.percentile(0.50).unwrap();
         let (lo, hi) = bucket_bounds(bucket_index(10));
-        assert!(
-            (lo..=hi).contains(&p.p50),
-            "p50 {} outside [{lo},{hi}]",
-            p.p50
-        );
+        assert!((lo..=hi).contains(&p50), "p50 {p50} outside [{lo},{hi}]");
+        let p99 = snap.percentile(0.99).unwrap();
         let (lo, hi) = bucket_bounds(bucket_index(1000));
-        assert!(
-            (lo..=hi).contains(&p.p99),
-            "p99 {} outside [{lo},{hi}]",
-            p.p99
+        assert!((lo..=hi).contains(&p99), "p99 {p99} outside [{lo},{hi}]");
+    }
+
+    /// Rounds that fail never pass, so their latency entries must not
+    /// outlive them: a device keeps at most one open round, and leaving
+    /// closes it.
+    #[test]
+    fn failed_and_left_rounds_do_not_stay_open() {
+        let reg = Registry::new();
+        let mut log = EventLog::new();
+        log.attach_telemetry(&reg);
+        let open = |log: &EventLog| log.sink.as_ref().expect("attached").open_rounds.len();
+        for round in 1..=1_000u64 {
+            log.record(round * 10, "a", EventKind::RoundStarted { round });
+            let reason = match round % 3 {
+                0 => FailReason::Timeout,
+                1 => FailReason::TooSlow,
+                _ => FailReason::WrongValue,
+            };
+            log.record(
+                round * 10 + 5,
+                "a",
+                EventKind::RoundFailed { round, reason },
+            );
+            assert!(open(&log) <= 1, "round {round}: {} open", open(&log));
+        }
+        assert_eq!(open(&log), 0);
+        log.record(20_000, "a", EventKind::RoundStarted { round: 1_001 });
+        log.record(20_001, "b", EventKind::RoundStarted { round: 1 });
+        assert_eq!(open(&log), 2);
+        log.record(20_002, "a", EventKind::Left);
+        assert_eq!(open(&log), 1);
+        log.record(
+            20_010,
+            "b",
+            EventKind::RoundPassed {
+                round: 1,
+                measured: 1,
+            },
         );
+        assert_eq!(open(&log), 0);
+        // Only the one passed round reached the histogram.
+        let snap = latency_histogram(&reg);
+        assert_eq!(snap.count(), 1);
+        assert_eq!(snap.sum, 9);
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //! timing and therefore the entire fleet history, which is what lets the
 //! integration tests (`tests/service_fleet.rs` at the workspace root)
 //! assert exact lifecycle outcomes under fault injection, and what makes
-//! `svcperf` runs reproducible.
+//! `perfbench` runs reproducible.
 //!
 //! See DESIGN.md §5 for the architecture and EXPERIMENTS.md for the
 //! walkthrough (`examples/attestation_service.rs`).
@@ -60,7 +60,7 @@ pub mod wheel;
 pub mod wire;
 
 pub use clock::{ClockDriver, Pump, RealTransport};
-pub use events::{Counters, Event, EventKind, EventLog, FailReason, LatencyPercentiles};
+pub use events::{Counters, Event, EventKind, EventLog, FailReason};
 pub use net::{
     Envelope, Fault, LinkEvent, LinkProfile, NetStats, NodeId, SimNet, SplitMix64, Transport,
 };

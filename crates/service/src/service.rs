@@ -149,9 +149,7 @@ pub struct ServiceConfig {
     /// calibration, via the shared [`sage_vf::ReplayPool`] (one flat
     /// `(round, block)` job list saturating the verifier host's cores).
     /// `0` (the default) skips the explicit prefill; calibration then
-    /// warms the bank itself, one serial replay at a time. The time
-    /// spent here is accounted separately — see
-    /// [`AttestationService::prefill_wall_seconds`].
+    /// warms the bank itself, one serial replay at a time.
     pub prefill_rounds: usize,
     /// Virtual ticks between fleet evidence epochs: every interval, a
     /// Merkle root over all device chain heads is sealed and logged.
@@ -472,9 +470,6 @@ pub struct AttestationService<T: Transport> {
     pub(crate) log: EventLog,
     pub(crate) next_node: u16,
     pub(crate) registry: Option<Registry>,
-    /// Wall-clock time spent in pooled bank prefill across every join,
-    /// kept out of the enrollment figure benchmarks report.
-    pub(crate) prefill_wall: core::time::Duration,
     /// The newest [`SEALED_EPOCHS_KEPT`] sealed fleet evidence epochs,
     /// oldest first. Only the newest keeps its leaves (see
     /// [`SealedEpoch`]).
@@ -525,7 +520,6 @@ impl<T: Transport> AttestationService<T> {
             log: EventLog::with_capacity(cfg.event_capacity),
             next_node: 1,
             registry: None,
-            prefill_wall: core::time::Duration::ZERO,
             sealed_epochs: Vec::new(),
             epoch_tree: EpochTree::new(&[]),
             next_seal_at: (cfg.epoch_interval > 0).then_some(cfg.epoch_interval),
@@ -540,15 +534,6 @@ impl<T: Transport> AttestationService<T> {
             quorum: VerifierSet::from_config(&cfg.quorum),
             archive: None,
         }
-    }
-
-    /// Cumulative wall-clock seconds spent stocking joining devices'
-    /// challenge banks through the shared replay pool
-    /// (`cfg.prefill_rounds` pairs per device). Benchmarks subtract
-    /// this from the enrollment wall so the reported enroll throughput
-    /// measures calibration + SAKE, with precompute priced on its own.
-    pub fn prefill_wall_seconds(&self) -> f64 {
-        self.prefill_wall.as_secs_f64()
     }
 
     /// Attaches the whole service to a telemetry registry: the event
@@ -721,11 +706,8 @@ impl<T: Transport> AttestationService<T> {
                 // Stock the bank through the shared replay pool before
                 // calibration starts, so the calibration loop draws
                 // precomputed pairs instead of replaying serially
-                // inline. Timed separately: precompute is a capacity
-                // cost, not part of the enroll exchange itself.
-                let t = std::time::Instant::now();
+                // inline.
                 verifier.prefill_rounds(self.cfg.prefill_rounds);
-                self.prefill_wall += t.elapsed();
             }
         }
         if let Some(reg) = &self.registry {
@@ -1469,7 +1451,7 @@ impl<T: Transport> AttestationService<T> {
     }
 
     /// Renders a service snapshot (time, per-device status, counters) as
-    /// JSON — the `svcperf` benchmark embeds this in `BENCH_svc.json`.
+    /// JSON, for dashboards and test failure messages.
     pub fn snapshot_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!("  \"virtual_time\": {},\n", self.now));
@@ -1611,9 +1593,7 @@ impl AttestationService<crate::tcp::TcpTransport> {
                 workers: self.cfg.bank_workers,
             });
             if self.cfg.prefill_rounds > 0 {
-                let t = std::time::Instant::now();
                 verifier.prefill_rounds(self.cfg.prefill_rounds);
-                self.prefill_wall += t.elapsed();
             }
         }
         if let Some(reg) = &self.registry {

@@ -11,7 +11,7 @@
 //! state; [`AttestationService::into_endpoints`] surrenders the
 //! survivors; [`AttestationService::restore`] marries the two back into
 //! a service whose *subsequent* event history is bit-identical to a run
-//! that never crashed — the keystone invariant the soak harness asserts.
+//! that never crashed — the keystone invariant `tests/chaos_soak.rs` asserts.
 //!
 //! The format is hand-rolled little-endian (the workspace is
 //! dependency-free by design), magic-tagged and versioned like the wire
@@ -942,7 +942,6 @@ pub(crate) fn restore<T: Transport>(
         log,
         next_node: decoded.next_node,
         registry: None,
-        prefill_wall: core::time::Duration::ZERO,
         sealed_epochs: decoded.sealed_epochs,
         epoch_tree,
         next_seal_at: decoded.next_seal_at,

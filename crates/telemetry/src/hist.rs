@@ -6,7 +6,7 @@
 //! instruction (`64 - leading_zeros`), and recording is two relaxed
 //! `fetch_add`s — one bucket bump, one sum accumulate. Deliberately no
 //! min/max tracking: a CAS loop per record would dwarf the fast-path
-//! budget the overhead gate enforces (see `BENCH_telemetry.json`).
+//! budget the overhead gate enforces (`tests/perf_gates.rs`).
 //!
 //! Percentile queries run on [`HistogramSnapshot`]s, nearest-rank over
 //! the cumulative bucket counts, answering with a linear interpolation

@@ -148,9 +148,9 @@ pub fn expected_checksum_with_pool(
 
 /// The pre-pool implementation, spawning fresh scoped threads per call.
 ///
-/// Retained as the oracle the pooled path is tested against and as the
-/// before-baseline of the `fastpath` benchmark's calibration-loop
-/// comparison; not used on any production path.
+/// Retained as the oracle the pooled and batched paths are tested
+/// against and as the scalar baseline of the batched-refill timing gate
+/// (`tests/perf_gates.rs`); not used on any production path.
 pub fn expected_checksum_unpooled(build: &VfBuild, challenges: &[[u8; 16]]) -> [u32; 8] {
     assert_eq!(
         challenges.len(),

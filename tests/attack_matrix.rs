@@ -1447,6 +1447,7 @@ fn unsampled_epoch_cheater_caught_within_model(bank_capacity: usize, expected_pa
         );
     }
 
+    let banked = fleet_rounds_passed(&svc, "gpu-cheat");
     compromise_fleet_device(&mut svc, "gpu-cheat");
     let compromised_at = 45_000u64;
     let start_epoch = compromised_at / 30_000;
@@ -1485,6 +1486,33 @@ fn unsampled_epoch_cheater_caught_within_model(bank_capacity: usize, expected_pa
         })
         .expect("the failing round has a start");
     let detect_epoch = detect_at / 30_000;
+    // The tap spends the first round after the compromise recording an
+    // honest readback; every round after it replays a stale answer. For
+    // this device under this plan the first covered epoch after that
+    // recording round is deterministic, and the failure lands no later
+    // than one epoch past it (round-cadence slack).
+    let recorded_at = events
+        .iter()
+        .find(|e| {
+            e.device == "gpu-cheat"
+                && e.at > compromised_at
+                && matches!(e.kind, EventKind::RoundPassed { .. })
+        })
+        .expect("the tap records one passing round")
+        .at;
+    let first_covered = (recorded_at / 30_000 + 1..)
+        .find(|e| covers(&sampling, *e, "gpu-cheat"))
+        .expect("coverage > 0 covers every device eventually");
+    let fail_at = events
+        .iter()
+        .find(|e| e.device == "gpu-cheat" && matches!(e.kind, EventKind::RoundFailed { .. }))
+        .expect("the cheater must fail a round")
+        .at;
+    assert!(
+        fail_at / 30_000 <= first_covered + 1,
+        "failed in epoch {} but the plan covers the cheater at epoch {first_covered}",
+        fail_at / 30_000
+    );
 
     // Caught within the modeled bound, in an epoch the plan covers.
     assert!(
@@ -1520,8 +1548,14 @@ fn unsampled_epoch_cheater_caught_within_model(bank_capacity: usize, expected_pa
         );
     }
 
-    // Zero false accepts once caught: past the tap's recording round,
-    // nothing passed, and the budget ran out as value rejects.
+    // Zero false accepts: past one in-flight honest round and the tap's
+    // recording round nothing passed, and the budget ran out as value
+    // rejects.
+    assert!(
+        fleet_rounds_passed(&svc, "gpu-cheat") <= banked + 2,
+        "the cheater passed {} rounds after its compromise",
+        fleet_rounds_passed(&svc, "gpu-cheat") - banked
+    );
     let counters = svc.log().counters();
     assert_eq!(counters.quarantines, 1);
     assert!(counters.value_rejects >= u64::from(Policy::default().value_quarantine_after));

@@ -5,7 +5,8 @@
 //! clock over windows where all partitions are stalled. Both are pure
 //! optimisations: final checksums, per-SM cycle counts and the per-SM
 //! stall-reason breakdowns must be *identical* to `ExecMode::Sequential`,
-//! across seeds and every self-modifying-code mode. This is the guarantee
+//! across seeds, every self-modifying-code mode and both schedules (the
+//! optimised one and §7.1's compiler-style one). This is the guarantee
 //! the whole evaluation rests on — a simulator that ran faster by timing
 //! differently would invalidate the paper's Table 1 reproduction.
 
@@ -13,9 +14,13 @@ use sage::GpuSession;
 use sage_gpu_sim::{Device, DeviceConfig, ExecMode, LaunchParams, RunReport, StallReason};
 use sage_vf::{expected_checksum, SmcMode, VfParams};
 
-fn params_for(smc: SmcMode) -> VfParams {
+fn params_for(smc: SmcMode, naive_schedule: bool) -> VfParams {
     let mut p = VfParams::test_tiny();
     p.smc = smc;
+    // The compiler-style schedule (§7.1) exposes every load's latency,
+    // so fast-forward skips far more stall windows than under the
+    // optimised schedule.
+    p.naive_schedule = naive_schedule;
     // 4 blocks over 2 SMs: exercises multi-block residency and the
     // commutative cross-SM result aggregation.
     p.grid_blocks = 4;
@@ -50,8 +55,13 @@ fn challenges(n: u32, seed: u8) -> Vec<[u8; 16]> {
 
 /// Installs the VF, uploads challenges, runs the grid once and returns the
 /// checksum cells plus the full run report (per-SM stats included).
-fn run_once(mode: ExecMode, smc: SmcMode, timing_seed: u64) -> ([u32; 8], RunReport) {
-    let params = params_for(smc);
+fn run_once(
+    mode: ExecMode,
+    smc: SmcMode,
+    naive_schedule: bool,
+    timing_seed: u64,
+) -> ([u32; 8], RunReport) {
+    let params = params_for(smc, naive_schedule);
     let mut dev = Device::new(DeviceConfig::sim_small());
     dev.set_exec_mode(mode);
     dev.set_timing_seed(timing_seed);
@@ -96,31 +106,37 @@ fn run_once(mode: ExecMode, smc: SmcMode, timing_seed: u64) -> ([u32; 8], RunRep
     assert_eq!(
         cells,
         expected_checksum(session.build(), &ch),
-        "checksum vs verifier replay ({mode:?}, {smc:?}, seed {timing_seed})"
+        "checksum vs verifier replay ({mode:?}, {smc:?}, naive {naive_schedule}, seed {timing_seed})"
     );
     (cells, report)
 }
 
 #[test]
 fn parallel_fast_forward_is_bit_exact_with_sequential() {
-    for smc in [SmcMode::Off, SmcMode::Evict, SmcMode::Cctl] {
+    for (smc, naive) in [
+        (SmcMode::Off, false),
+        (SmcMode::Evict, false),
+        (SmcMode::Cctl, false),
+        (SmcMode::Off, true),
+        (SmcMode::Evict, true),
+    ] {
         for timing_seed in [1u64, 0xD15EA5E, 0xFEED_F00D_u64] {
-            let (seq_cells, seq) = run_once(ExecMode::Sequential, smc, timing_seed);
-            let (par_cells, par) = run_once(ExecMode::Parallel, smc, timing_seed);
+            let (seq_cells, seq) = run_once(ExecMode::Sequential, smc, naive, timing_seed);
+            let (par_cells, par) = run_once(ExecMode::Parallel, smc, naive, timing_seed);
 
             assert_eq!(
                 seq_cells, par_cells,
-                "final checksum diverged ({smc:?}, seed {timing_seed})"
+                "final checksum diverged ({smc:?}, naive {naive}, seed {timing_seed})"
             );
             assert_eq!(
                 seq.total_cycles, par.total_cycles,
-                "total cycles diverged ({smc:?}, seed {timing_seed})"
+                "total cycles diverged ({smc:?}, naive {naive}, seed {timing_seed})"
             );
             // Per-SM cycle counts, stall breakdowns, cache and issue
             // counters — all of it, SM by SM.
             assert_eq!(
                 seq.per_sm, par.per_sm,
-                "per-SM stats diverged ({smc:?}, seed {timing_seed})"
+                "per-SM stats diverged ({smc:?}, naive {naive}, seed {timing_seed})"
             );
             assert_eq!(seq.per_sm.len(), 2, "both SMs should have run blocks");
             // The aggregate stall breakdown feeds the paper's "99% of
@@ -129,7 +145,7 @@ fn parallel_fast_forward_is_bit_exact_with_sequential() {
                 assert_eq!(
                     seq.stats.stall(reason),
                     par.stats.stall(reason),
-                    "stall[{}] diverged ({smc:?}, seed {timing_seed})",
+                    "stall[{}] diverged ({smc:?}, naive {naive}, seed {timing_seed})",
                     reason.label()
                 );
             }
@@ -141,8 +157,8 @@ fn parallel_fast_forward_is_bit_exact_with_sequential() {
 
 #[test]
 fn launch_reports_match_across_modes() {
-    let (_, seq) = run_once(ExecMode::Sequential, SmcMode::Evict, 7);
-    let (_, par) = run_once(ExecMode::Parallel, SmcMode::Evict, 7);
+    let (_, seq) = run_once(ExecMode::Sequential, SmcMode::Evict, false, 7);
+    let (_, par) = run_once(ExecMode::Parallel, SmcMode::Evict, false, 7);
     assert_eq!(seq.launches.len(), par.launches.len());
     for (a, b) in seq.launches.iter().zip(&par.launches) {
         assert_eq!(a.completion_cycle, b.completion_cycle);

@@ -16,31 +16,27 @@
 //!    probability `1 − (1 − c)^k`. The empirical rate over hundreds of
 //!    seeded epochs must match [`detect_probability_per_mille`] inside
 //!    a fixed tolerance band — deterministic seeds, so the band never
-//!    flakes.
+//!    flakes. A planted cheater in a live sampled fleet is caught no
+//!    later than one epoch after the plan first covers it.
 
+mod fixture;
+
+use sage_repro::attacks::forge::ReplayTap;
 use sage_repro::core::{agent::DeviceAgent, multi::FleetMember, GpuSession};
-use sage_repro::crypto::{DhGroup, EntropySource};
+use sage_repro::crypto::DhGroup;
 use sage_repro::evidence::FreshnessPolicy;
 use sage_repro::gpu::{Device, DeviceConfig};
 use sage_repro::service::{
-    covers, detect_probability_per_mille, epochs_to_detect, AttestationService, LinkProfile,
-    QuorumConfig, SamplingConfig, ServiceConfig, SimNet, SpotCheckPlan,
+    covers, detect_probability_per_mille, epochs_to_detect, AttestationService, DeviceState,
+    EventKind, LinkProfile, QuorumConfig, SamplingConfig, ServiceConfig, SimNet, SpotCheckPlan,
 };
 use sage_repro::sgx::{Enclave, SgxPlatform};
 use sage_repro::vf::VfParams;
 
+use fixture::entropy;
+
 const DEVICES: usize = 8;
 const HORIZON: u64 = 120_000;
-
-fn entropy(seed: u8) -> impl EntropySource {
-    let mut state = seed;
-    move |buf: &mut [u8]| {
-        for b in buf {
-            state = state.wrapping_mul(181).wrapping_add(101);
-            *b = state;
-        }
-    }
-}
 
 fn member(index: usize, seed: u64) -> FleetMember {
     let session = GpuSession::install_modeled(
@@ -115,6 +111,8 @@ fn run_history(cfg: ServiceConfig, seed: u64) -> History {
     svc.run_until(HORIZON);
     let mut heads = Vec::new();
     for s in svc.statuses() {
+        // An honest fleet holds `Trusted` under every quorum and plan.
+        assert_eq!(s.state, DeviceState::Trusted, "{} lost trust", s.name);
         let chain = svc.evidence_of(&s.name).expect("evidence chain");
         heads.push((s.name.clone(), chain.head(), chain.seq()));
     }
@@ -295,4 +293,95 @@ fn empirical_detection_rate_matches_the_closed_form_model() {
             "coverage {coverage}: k={k} did not reach the modeled confidence"
         );
     }
+}
+
+/// The model in a live fleet: a cheater planted under 25% coverage is
+/// caught no later than one epoch after the seeded plan first covers it
+/// (+1 epoch of round-cadence slack), and passes no round past the one
+/// in flight at the compromise and the replay tap's recording round.
+/// Twelve cycle-accurate devices at a dense 5k-tick cadence in 60k-tick
+/// epochs; the tap goes on the last device once the fleet has settled.
+#[test]
+fn planted_cheater_is_caught_by_its_first_covered_epoch() {
+    const FLEET: usize = 12;
+    const SEED: u64 = 7;
+    const EPOCH: u64 = 60_000;
+    const SETTLE: u64 = 45_000;
+    const MIN_HORIZON: u64 = 600_000;
+    let sampling = SamplingConfig {
+        coverage_per_mille: 250,
+        seed: 0xC0FFEE,
+    };
+    let net = SimNet::new(
+        SEED,
+        LinkProfile {
+            latency: 100,
+            jitter: 0,
+            drop_per_mille: 0,
+            dup_per_mille: 0,
+        },
+    );
+    let cfg = ServiceConfig {
+        reattest_interval: 5_000,
+        epoch_interval: EPOCH,
+        quorum: QuorumConfig {
+            verifiers: 1,
+            seed: 0x51D,
+        },
+        sampling,
+        ..ServiceConfig::default()
+    };
+    let mut svc = AttestationService::new(cfg, DhGroup::test_group(), net);
+    for i in 0..FLEET {
+        let enclave_seed = (SEED as u8).wrapping_add(i as u8).wrapping_mul(5) | 1;
+        svc.join(
+            fixture::tiny_member(i, SEED),
+            fixture::enclave(b"quorum-verifier", enclave_seed),
+        );
+    }
+    svc.run_until(SETTLE);
+
+    let cheater = format!("gpu-{:02}", FLEET - 1);
+    let session = svc.session_mut(&cheater).expect("cheater is managed");
+    let result_addr = session.build().layout.result_addr();
+    session
+        .dev
+        .install_bus_tap(Box::new(ReplayTap::new(result_addr)));
+    let rounds_passed = |svc: &AttestationService<SimNet>| {
+        svc.statuses()
+            .into_iter()
+            .find(|s| s.name == cheater)
+            .expect("cheater status")
+            .rounds_passed
+    };
+    let banked = rounds_passed(&svc);
+
+    // For this device under this plan the first covered epoch after the
+    // compromise is deterministic; run far enough past it to quarantine.
+    let compromise_epoch = SETTLE / EPOCH;
+    let first_covered = (compromise_epoch + 1..)
+        .find(|e| covers(&sampling, *e, &cheater))
+        .expect("coverage > 0 covers every device eventually")
+        - compromise_epoch;
+    svc.run_until(MIN_HORIZON.max(SETTLE + (compromise_epoch + first_covered + 3) * EPOCH));
+
+    let detected = svc
+        .log()
+        .events()
+        .iter()
+        .find(|e| {
+            e.device == cheater && e.at > SETTLE && matches!(e.kind, EventKind::RoundFailed { .. })
+        })
+        .map(|e| e.at / EPOCH - compromise_epoch)
+        .expect("the cheater must fail a round");
+    assert!(
+        detected <= first_covered + 1,
+        "detection took {detected} epochs but the plan covers the cheater at epoch +{first_covered}"
+    );
+    assert!(
+        rounds_passed(&svc) <= banked + 2,
+        "false accepts: {} rounds passed after the compromise, at most 2 allowed",
+        rounds_passed(&svc) - banked
+    );
+    assert_eq!(svc.state_of(&cheater), Some(DeviceState::Quarantined));
 }

@@ -282,6 +282,64 @@ fn enrollment_failure_quarantines_without_stopping_the_service() {
     assert_eq!(good.state_of("gpu-y"), Some(DeviceState::Trusted));
 }
 
+/// A fleet whose banks are stocked through the pooled prefill before
+/// calibration, with no refill thread: every device converges to
+/// `Trusted` within `4r + 8` re-attest windows, and the telemetry
+/// attached before the first join agrees with the event log's books.
+#[test]
+fn prefilled_fleet_converges_and_telemetry_matches_the_log() {
+    const DEVICES: usize = 2;
+    const ROUNDS: u64 = 2;
+    let mut cfg = ServiceConfig {
+        bank_workers: 0,
+        ..ServiceConfig::default()
+    };
+    cfg.bank_capacity = cfg.calibration_runs + 2;
+    cfg.prefill_rounds = cfg.bank_capacity;
+    let net = SimNet::new(
+        7,
+        LinkProfile {
+            latency: 100,
+            jitter: 25,
+            drop_per_mille: 0,
+            dup_per_mille: 0,
+        },
+    );
+    let mut svc = AttestationService::new(cfg, DhGroup::test_group(), net);
+    let reg = Registry::new();
+    svc.attach_telemetry(&reg);
+    for i in 0..DEVICES {
+        let seed = (7 + i as u8).wrapping_mul(3) | 1;
+        svc.join(
+            member(&format!("gpu-{i:02}"), DeviceConfig::sim_tiny(), seed),
+            enclave((7 + i as u8).wrapping_mul(5) | 1),
+        );
+    }
+    let mut windows = 0;
+    while svc.statuses().iter().any(|s| s.rounds_passed < ROUNDS) {
+        svc.run_for(cfg.reattest_interval);
+        windows += 1;
+        assert!(
+            windows <= ROUNDS * 4 + 8,
+            "fleet failed to converge: {}",
+            svc.snapshot_json()
+        );
+    }
+    for s in svc.statuses() {
+        assert_eq!(s.state, DeviceState::Trusted, "{}", s.name);
+        assert!(s.rounds_passed >= ROUNDS, "{}", s.name);
+    }
+    let c = svc.log().counters();
+    assert_eq!(
+        counter_value(&reg, "service_rounds_passed_total", &[]),
+        c.rounds_passed
+    );
+    assert_eq!(
+        counter_value(&reg, "service_devices_joined_total", &[]),
+        DEVICES as u64
+    );
+}
+
 /// Reads one counter series out of the registry, by exact label match.
 fn counter_value(reg: &Registry, name: &str, labels: &[(&str, &str)]) -> u64 {
     for (n, ls, v) in reg.collect() {
@@ -456,8 +514,9 @@ fn every_device_report_verifies_and_only_the_newest_epoch_keeps_leaves() {
             .expect("device is in the newest epoch");
         assert_eq!(report.epoch, newest.index, "{name}");
         let key = svc.evidence_key_of(&name).unwrap();
-        verify_report(&report, &newest.root, &key, svc.now())
+        let level = verify_report(&report, &newest.root, &key, svc.now())
             .unwrap_or_else(|e| panic!("{name}: report rejected: {e:?}"));
+        assert_eq!(level, Freshness::Trusted, "{name}: the fleet is fresh");
     }
 
     // A device keyed after the newest seal has no leaf to prove yet, and

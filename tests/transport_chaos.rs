@@ -62,6 +62,7 @@ struct RunResult {
     enrollments: Vec<u64>,
     link_downs: u64,
     reconnects: u64,
+    handshake_rejects: u64,
 }
 
 /// Enrolls the fleet over real sockets and drives it to
@@ -193,6 +194,7 @@ fn run_fleet(tag: &str, chaos: bool) -> RunResult {
         enrollments,
         link_downs: svc.log().counters().link_downs,
         reconnects: stats.reconnects,
+        handshake_rejects: stats.handshake_rejects,
     };
     drop(svc);
     drop(proxy);
@@ -249,6 +251,14 @@ fn severed_fleet_resumes_with_byte_identical_evidence() {
         for (i, &r) in chaos.resumes.iter().enumerate() {
             assert!(r >= 2, "device {i} resumed only {r} times");
         }
+        // ≥99% of resume attempts succeed: a rejected resume handshake
+        // is the failure mode.
+        let attempts = chaos.reconnects + chaos.handshake_rejects;
+        assert!(
+            chaos.reconnects * 100 >= attempts * 99,
+            "resume success {}/{attempts} < 99%",
+            chaos.reconnects
+        );
 
         // The strong claim: chain heads are byte-identical — the
         // attestation record cannot tell the severed run from the
