@@ -19,6 +19,14 @@ echo "==> tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+# The benchmark compiles against the telemetry and service APIs and
+# sums their series in its correctness gates; a gate failure exits 1.
+echo "==> perfbench smoke (every BENCHMARK.json workload, 1 s, seed 1)"
+for workload in fleet exact uds byzantine; do
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0
+done
+
 echo "==> sharded determinism matrix ({shards 1,4,16} x {workers 0,2,8})"
 cargo test -q --release --test service_sharded
 

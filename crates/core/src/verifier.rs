@@ -64,8 +64,9 @@ impl VerdictPath {
 /// verdict failures.
 const REJECT_CAUSES: [&str; 2] = ["wrong_value", "too_slow"];
 
-/// Per-verifier telemetry instruments (cause × path labeled verdicts
-/// plus the measured-cycles distribution).
+/// This verifier's handles on the fleet's shared verdict instruments
+/// (cause × path labeled verdicts plus the measured-cycles
+/// distribution).
 struct VerifierTelemetry {
     /// Accepts by path.
     accepts: [Counter; 2],
@@ -76,50 +77,24 @@ struct VerifierTelemetry {
     /// Kept so a bank enabled *after* attachment still gets registered
     /// (see [`Verifier::enable_fast_path`]).
     registry: Registry,
-    labels: Vec<(String, String)>,
 }
 
 impl VerifierTelemetry {
-    fn new(reg: &Registry, labels: &[(&str, &str)]) -> VerifierTelemetry {
-        let with = |extra: &[(&str, &str)]| -> Vec<(String, String)> {
-            labels
-                .iter()
-                .chain(extra)
-                .map(|&(k, v)| (k.to_string(), v.to_string()))
-                .collect()
-        };
-        fn as_refs(owned: &[(String, String)]) -> Vec<(&str, &str)> {
-            owned
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect()
-        }
-        let counter = |name: &str, extra: &[(&str, &str)]| {
-            let owned = with(extra);
-            reg.counter(name, &as_refs(&owned))
-        };
+    fn new(reg: &Registry) -> VerifierTelemetry {
         VerifierTelemetry {
             accepts: VerdictPath::ALL
-                .map(|p| counter("verifier_accepts_total", &[("path", p.label())])),
+                .map(|p| reg.counter("verifier_accepts_total", &[("path", p.label())])),
             rejects: REJECT_CAUSES.map(|cause| {
                 VerdictPath::ALL.map(|p| {
-                    counter(
+                    reg.counter(
                         "verifier_rejects_total",
                         &[("cause", cause), ("path", p.label())],
                     )
                 })
             }),
-            measured: reg.histogram("verifier_measured_cycles", labels),
+            measured: reg.histogram("verifier_measured_cycles", &[]),
             registry: reg.clone(),
-            labels: with(&[]),
         }
-    }
-
-    fn label_refs(&self) -> Vec<(&str, &str)> {
-        self.labels
-            .iter()
-            .map(|(k, v)| (k.as_str(), v.as_str()))
-            .collect()
     }
 }
 
@@ -157,12 +132,13 @@ impl Verifier {
     /// `verifier_rejects_total{cause, path}` counters (cause ∈
     /// `wrong_value` | `too_slow`, path ∈ `classic` | `precomputed`)
     /// plus a `verifier_measured_cycles` histogram over every judged
-    /// exchange time. When the fast path is enabled, the bank's
-    /// counters are registered under the same labels too.
-    pub fn attach_telemetry(&mut self, reg: &Registry, labels: &[(&str, &str)]) {
-        self.telemetry = Some(VerifierTelemetry::new(reg, labels));
+    /// exchange time. Every verifier on the registry shares these
+    /// series. When the fast path is enabled, the bank feeds the
+    /// registry's `vf_bank_*` series too.
+    pub fn attach_telemetry(&mut self, reg: &Registry) {
+        self.telemetry = Some(VerifierTelemetry::new(reg));
         if let Some(bank) = &self.bank {
-            bank.register_telemetry(reg, labels);
+            bank.register_telemetry(reg);
         }
     }
 
@@ -190,7 +166,7 @@ impl Verifier {
         let gen = Box::new(move |c: &mut [u8; 16]| ctr.keystream_into(c));
         let bank = ChallengeBank::new(self.build.clone(), cfg, gen);
         if let Some(t) = &self.telemetry {
-            bank.register_telemetry(&t.registry, &t.label_refs());
+            bank.register_telemetry(&t.registry);
         }
         self.bank = Some(bank);
     }

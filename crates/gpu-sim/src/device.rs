@@ -182,11 +182,12 @@ impl Device {
 
     /// Attaches this device to a telemetry registry: every subsequent
     /// non-empty [`Device::run`] folds its aggregate issue/stall/cache
-    /// stats and fault-hook applications into `sim_*` series labeled
-    /// with `labels`. The per-cycle SM loops are untouched — the cost is
-    /// a few relaxed `fetch_add`s per run.
-    pub fn install_telemetry(&mut self, reg: &sage_telemetry::Registry, labels: &[(&str, &str)]) {
-        self.telemetry = Some(crate::telemetry::SimTelemetry::new(reg, labels));
+    /// stats and fault-hook applications into the registry's `sim_*`
+    /// series, which every device on the registry shares. The
+    /// per-cycle SM loops are untouched — the cost is a few relaxed
+    /// `fetch_add`s per run.
+    pub fn install_telemetry(&mut self, reg: &sage_telemetry::Registry) {
+        self.telemetry = Some(crate::telemetry::SimTelemetry::new(reg));
     }
 
     /// Selects how [`Device::run`] executes SMs (parallel + fast-forward
@@ -666,7 +667,7 @@ mod tests {
     fn telemetry_fold_exports_opcode_dispatch_mix() {
         let mut dev = device();
         let reg = sage_telemetry::Registry::new();
-        dev.install_telemetry(&reg, &[("device", "t0")]);
+        dev.install_telemetry(&reg);
         let ctx = dev.create_context();
         let (code, out) = simple_kernel(&mut dev);
         dev.run_single(LaunchParams {

@@ -27,7 +27,7 @@ const GMEM_OPS: [&str; 3] = ["load", "store", "atomic"];
 /// Fault-kind labels, in [`FaultCounters`] field order.
 const FAULT_KINDS: [&str; 3] = ["flip", "stall", "skew"];
 
-/// Shared instruments for one device, minted from a [`Registry`].
+/// One device's handles on the fleet's shared simulator instruments.
 pub(crate) struct SimTelemetry {
     runs: Counter,
     run_cycles: Histogram,
@@ -43,10 +43,9 @@ pub(crate) struct SimTelemetry {
     /// Cumulative fault counters at the previous observation, for
     /// delta export.
     last_faults: FaultCounters,
-    /// Registry handle and owned labels for series whose label set is
-    /// only known at fold time (the per-opcode dispatch counters).
+    /// Registry handle for series whose label set is only known at
+    /// fold time (the per-opcode dispatch counters).
     reg: Registry,
-    labels: Vec<(String, String)>,
 }
 
 /// How many of a run's most-issued opcodes are exported as labeled
@@ -54,42 +53,25 @@ pub(crate) struct SimTelemetry {
 const TOP_OPCODES: usize = 8;
 
 impl SimTelemetry {
-    /// Mints the device's series under `labels` (callers add a
-    /// `device` label to keep fleet members distinct).
-    pub(crate) fn new(reg: &Registry, labels: &[(&str, &str)]) -> SimTelemetry {
-        fn with<'a>(
-            labels: &[(&'a str, &'a str)],
-            extra: (&'a str, &'a str),
-        ) -> Vec<(&'a str, &'a str)> {
-            let mut l = labels.to_vec();
-            l.push(extra);
-            l
-        }
+    /// Gets the fleet's simulator series. They carry no device label,
+    /// so every device on the registry shares one set.
+    pub(crate) fn new(reg: &Registry) -> SimTelemetry {
         SimTelemetry {
-            runs: reg.counter("sim_runs_total", labels),
-            run_cycles: reg.histogram("sim_run_cycles", labels),
-            issued: PIPES.map(|p| reg.counter("sim_issued_total", &with(labels, ("pipe", p)))),
-            stalls: StallReason::ALL.map(|r| {
-                reg.counter(
-                    "sim_stall_cycles_total",
-                    &with(labels, ("reason", r.label())),
-                )
-            }),
-            slot_cycles: reg.counter("sim_slot_cycles_total", labels),
+            runs: reg.counter("sim_runs_total", &[]),
+            run_cycles: reg.histogram("sim_run_cycles", &[]),
+            issued: PIPES.map(|p| reg.counter("sim_issued_total", &[("pipe", p)])),
+            stalls: StallReason::ALL
+                .map(|r| reg.counter("sim_stall_cycles_total", &[("reason", r.label())])),
+            slot_cycles: reg.counter("sim_slot_cycles_total", &[]),
             icache_hits: ICACHE_LEVELS
-                .map(|l| reg.counter("sim_icache_hits_total", &with(labels, ("level", l)))),
-            icache_fills: reg.counter("sim_icache_mem_fills_total", labels),
-            gmem: GMEM_OPS.map(|k| reg.counter("sim_gmem_ops_total", &with(labels, ("kind", k)))),
-            smem: reg.counter("sim_smem_accesses_total", labels),
-            barriers: reg.counter("sim_barriers_total", labels),
-            faults: FAULT_KINDS
-                .map(|k| reg.counter("sim_faults_applied_total", &with(labels, ("kind", k)))),
+                .map(|l| reg.counter("sim_icache_hits_total", &[("level", l)])),
+            icache_fills: reg.counter("sim_icache_mem_fills_total", &[]),
+            gmem: GMEM_OPS.map(|k| reg.counter("sim_gmem_ops_total", &[("kind", k)])),
+            smem: reg.counter("sim_smem_accesses_total", &[]),
+            barriers: reg.counter("sim_barriers_total", &[]),
+            faults: FAULT_KINDS.map(|k| reg.counter("sim_faults_applied_total", &[("kind", k)])),
             last_faults: FaultCounters::default(),
             reg: reg.clone(),
-            labels: labels
-                .iter()
-                .map(|&(k, v)| (k.to_string(), v.to_string()))
-                .collect(),
         }
     }
 
@@ -128,13 +110,9 @@ impl SimTelemetry {
         // label set depends on the workload; the registry dedupes, so a
         // stable mix costs no new series after the first run.
         for (op, n) in stats.top_opcodes(TOP_OPCODES) {
-            let mut labels: Vec<(&str, &str)> = self
-                .labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect();
-            labels.push(("opcode", op.mnemonic()));
-            self.reg.counter("sim_opcode_issues_total", &labels).add(n);
+            self.reg
+                .counter("sim_opcode_issues_total", &[("opcode", op.mnemonic())])
+                .add(n);
         }
         for (c, (now, before)) in self.faults.iter().zip([
             (faults.flips, self.last_faults.flips),

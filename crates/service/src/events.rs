@@ -1,8 +1,6 @@
 //! Structured event log and counters — the control plane's observability
 //! surface, exported as JSON for dashboards and as telemetry series.
 
-use std::collections::HashMap;
-
 use sage_evidence::Freshness;
 use sage_telemetry::{Counter, Histogram, Registry};
 
@@ -68,6 +66,9 @@ pub enum EventKind {
         round: u64,
         /// Measured exchange time in cycles.
         measured: u64,
+        /// Virtual time the round's challenge was dispatched; the
+        /// event's own time minus this is the round's latency.
+        started_at: u64,
     },
     /// A round failed.
     RoundFailed {
@@ -153,7 +154,7 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Aggregate counters, maintained as events are recorded.
+/// Aggregate counters, derived from the event log's tally.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Devices that joined.
@@ -196,135 +197,137 @@ pub struct Counters {
     pub relay_rejects: u64,
 }
 
-/// The telemetry sink mirroring [`Counters`] into registry series,
-/// plus a virtual-tick round-latency histogram fed by pairing each
-/// `RoundStarted` with its `RoundPassed`.
+/// Every fact [`EventLog::record`] counts, in tally-slot order, as the
+/// series it is exported under. Failures are split by [`FailReason`]
+/// (discriminant order) and freshness changes by destination level
+/// ([`Freshness::tag`] order), so one tally serves both [`Counters`]
+/// and the labelled series.
+const FACTS: [(&str, &[(&str, &str)]); 22] = [
+    ("service_devices_joined_total", &[]),
+    ("service_devices_left_total", &[]),
+    ("service_rounds_started_total", &[]),
+    ("service_rounds_passed_total", &[]),
+    ("service_rounds_failed_total", &[("reason", "wrong_value")]),
+    ("service_rounds_failed_total", &[("reason", "too_slow")]),
+    ("service_rounds_failed_total", &[("reason", "timeout")]),
+    ("service_rounds_failed_total", &[("reason", "link_down")]),
+    ("service_rounds_failed_total", &[("reason", "relay")]),
+    ("service_restarts_total", &[]),
+    ("service_late_responses_total", &[]),
+    ("service_quarantines_total", &[]),
+    ("service_calibration_failures_total", &[]),
+    ("service_freshness_transitions_total", &[("to", "trusted")]),
+    ("service_freshness_transitions_total", &[("to", "stale")]),
+    ("service_freshness_transitions_total", &[("to", "degraded")]),
+    ("service_epochs_sealed_total", &[]),
+    ("service_link_downs_total", &[]),
+    ("service_link_resumes_total", &[]),
+    ("service_spotcheck_skips_total", &[]),
+    ("service_quorum_disputes_total", &[]),
+    ("service_verifier_suspects_total", &[]),
+];
+const JOINED: usize = 0;
+const LEFT: usize = 1;
+const STARTED: usize = 2;
+const PASSED: usize = 3;
+/// First of five slots, one per [`FailReason`].
+const FAILED: usize = 4;
+const RESTARTED: usize = 9;
+const LATE: usize = 10;
+const QUARANTINED: usize = 11;
+const CALIBRATION_FAILED: usize = 12;
+/// First of three slots, one per [`Freshness`] level.
+const FRESHNESS: usize = 13;
+const EPOCH_SEALED: usize = 16;
+const LINK_DOWN: usize = 17;
+const LINK_RESUMED: usize = 18;
+const SPOTCHECK_SKIPPED: usize = 19;
+const QUORUM_DISPUTED: usize = 20;
+const VERIFIER_SUSPECTED: usize = 21;
+
+impl EventKind {
+    /// The tally slot this event counts into (an index into [`FACTS`]),
+    /// or `None` for an event that counts nothing. The one place events
+    /// are classified.
+    fn fact(&self) -> Option<usize> {
+        Some(match self {
+            EventKind::Joined => JOINED,
+            EventKind::Left => LEFT,
+            EventKind::CalibrationFailed => CALIBRATION_FAILED,
+            EventKind::StateChanged {
+                to: DeviceState::Quarantined,
+                ..
+            } => QUARANTINED,
+            EventKind::EstablishFailed | EventKind::StateChanged { .. } => return None,
+            EventKind::RoundStarted { .. } => STARTED,
+            EventKind::RoundPassed { .. } => PASSED,
+            EventKind::RoundFailed { reason, .. } => FAILED + *reason as usize,
+            EventKind::Restarted { .. } => RESTARTED,
+            EventKind::LateResponse { .. } => LATE,
+            EventKind::FreshnessChanged { to, .. } => FRESHNESS + to.tag() as usize,
+            EventKind::EpochSealed { .. } => EPOCH_SEALED,
+            EventKind::LinkDown => LINK_DOWN,
+            EventKind::LinkResumed => LINK_RESUMED,
+            EventKind::SpotCheckSkipped { .. } => SPOTCHECK_SKIPPED,
+            EventKind::QuorumDisputed { .. } => QUORUM_DISPUTED,
+            EventKind::VerifierSuspected { .. } => VERIFIER_SUSPECTED,
+        })
+    }
+}
+
+/// How many of each fact the log has recorded, indexed like [`FACTS`]:
+/// the log's one count, from which [`Counters`] and every
+/// `service_*_total` series are derived.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Tally(pub(crate) [u64; FACTS.len()]);
+
+impl Tally {
+    fn counters(&self) -> Counters {
+        let t = &self.0;
+        let failed = |r: FailReason| t[FAILED + r as usize];
+        Counters {
+            joins: t[JOINED],
+            leaves: t[LEFT],
+            rounds_started: t[STARTED],
+            rounds_passed: t[PASSED],
+            value_rejects: failed(FailReason::WrongValue),
+            timing_rejects: failed(FailReason::TooSlow),
+            timeouts: failed(FailReason::Timeout),
+            restarts: t[RESTARTED],
+            late_responses: t[LATE],
+            quarantines: t[QUARANTINED],
+            calibration_failures: t[CALIBRATION_FAILED],
+            freshness_transitions: t[FRESHNESS..FRESHNESS + 3].iter().sum(),
+            epochs_sealed: t[EPOCH_SEALED],
+            link_downs: t[LINK_DOWN],
+            link_resumes: t[LINK_RESUMED],
+            spotcheck_skips: t[SPOTCHECK_SKIPPED],
+            quorum_disputes: t[QUORUM_DISPUTED],
+            verifier_suspects: t[VERIFIER_SUSPECTED],
+            // Link-down failures have no field: dashboards must tell a
+            // flapping link from a hung device, and the link itself is
+            // counted by `link_downs`.
+            relay_rejects: failed(FailReason::Relay),
+        }
+    }
+}
+
+/// The registry handles the log feeds: one counter per tally slot, the
+/// ring's drop count, and the passed-round latency histogram.
 struct LogTelemetry {
-    joins: Counter,
-    leaves: Counter,
-    rounds_started: Counter,
-    rounds_passed: Counter,
-    /// Failures by [`FailReason`] discriminant order.
-    round_failed: [Counter; 5],
-    restarts: Counter,
-    late_responses: Counter,
-    quarantines: Counter,
-    calibration_failures: Counter,
-    /// Freshness transitions by destination level ([`Freshness`]
-    /// discriminant order: trusted, stale, degraded).
-    freshness_transitions: [Counter; 3],
-    epochs_sealed: Counter,
-    link_downs: Counter,
-    link_resumes: Counter,
-    spotcheck_skips: Counter,
-    quorum_disputes: Counter,
-    verifier_suspects: Counter,
-    /// Events evicted from the bounded in-memory ring.
+    facts: [Counter; FACTS.len()],
     events_dropped: Counter,
     round_latency: Histogram,
-    /// Each device's open round: `device → (round, started_at)`. A
-    /// device has at most one round outstanding, and its round ids only
-    /// grow, so the entry is replaced by the next `RoundStarted` and
-    /// removed when the round passes or fails or the device leaves.
-    open_rounds: HashMap<String, (u64, u64)>,
 }
 
-impl LogTelemetry {
-    fn new(reg: &Registry) -> LogTelemetry {
-        LogTelemetry {
-            joins: reg.counter("service_devices_joined_total", &[]),
-            leaves: reg.counter("service_devices_left_total", &[]),
-            rounds_started: reg.counter("service_rounds_started_total", &[]),
-            rounds_passed: reg.counter("service_rounds_passed_total", &[]),
-            round_failed: [
-                FailReason::WrongValue,
-                FailReason::TooSlow,
-                FailReason::Timeout,
-                FailReason::LinkDown,
-                FailReason::Relay,
-            ]
-            .map(|r| reg.counter("service_rounds_failed_total", &[("reason", r.as_str())])),
-            restarts: reg.counter("service_restarts_total", &[]),
-            late_responses: reg.counter("service_late_responses_total", &[]),
-            quarantines: reg.counter("service_quarantines_total", &[]),
-            calibration_failures: reg.counter("service_calibration_failures_total", &[]),
-            freshness_transitions: [Freshness::Trusted, Freshness::Stale, Freshness::Degraded]
-                .map(|l| reg.counter("service_freshness_transitions_total", &[("to", l.as_str())])),
-            epochs_sealed: reg.counter("service_epochs_sealed_total", &[]),
-            link_downs: reg.counter("service_link_downs_total", &[]),
-            link_resumes: reg.counter("service_link_resumes_total", &[]),
-            spotcheck_skips: reg.counter("service_spotcheck_skips_total", &[]),
-            quorum_disputes: reg.counter("service_quorum_disputes_total", &[]),
-            verifier_suspects: reg.counter("service_verifier_suspects_total", &[]),
-            events_dropped: reg.counter("service_events_dropped_total", &[]),
-            round_latency: reg.histogram("service_round_latency_ticks", &[]),
-            open_rounds: HashMap::new(),
-        }
-    }
-
-    fn observe(&mut self, at: u64, device: &str, kind: &EventKind) {
-        match kind {
-            EventKind::Joined => self.joins.inc(),
-            EventKind::Left => {
-                self.leaves.inc();
-                self.open_rounds.remove(device);
-            }
-            EventKind::CalibrationFailed => self.calibration_failures.inc(),
-            EventKind::EstablishFailed => {}
-            EventKind::StateChanged { to, .. } => {
-                if *to == DeviceState::Quarantined {
-                    self.quarantines.inc();
-                }
-            }
-            EventKind::RoundStarted { round } => {
-                self.rounds_started.inc();
-                self.open_rounds.insert(device.to_string(), (*round, at));
-            }
-            EventKind::RoundPassed { round, .. } => {
-                self.rounds_passed.inc();
-                if let Some(started) = self.close_round(device, *round) {
-                    self.round_latency.record(at - started);
-                }
-            }
-            EventKind::RoundFailed { round, reason } => {
-                self.round_failed[*reason as usize].inc();
-                self.close_round(device, *round);
-            }
-            EventKind::Restarted { .. } => self.restarts.inc(),
-            EventKind::LateResponse { .. } => self.late_responses.inc(),
-            EventKind::FreshnessChanged { to, .. } => {
-                self.freshness_transitions[to.tag() as usize].inc()
-            }
-            EventKind::EpochSealed { .. } => self.epochs_sealed.inc(),
-            EventKind::LinkDown => self.link_downs.inc(),
-            EventKind::LinkResumed => self.link_resumes.inc(),
-            EventKind::SpotCheckSkipped { .. } => self.spotcheck_skips.inc(),
-            EventKind::QuorumDisputed { .. } => self.quorum_disputes.inc(),
-            EventKind::VerifierSuspected { .. } => self.verifier_suspects.inc(),
-        }
-    }
-
-    /// Removes `device`'s open round if it is `round`, returning the
-    /// tick it started at.
-    fn close_round(&mut self, device: &str, round: u64) -> Option<u64> {
-        match self.open_rounds.get(device) {
-            Some(&(open, started)) if open == round => {
-                self.open_rounds.remove(device);
-                Some(started)
-            }
-            _ => None,
-        }
-    }
-}
-
-/// The event log: append-order events plus derived counters. With a
+/// The event log: append-order events plus their tally. With a
 /// capacity set it becomes a ring — only the most recent `capacity`
 /// events stay resident (a 10k-device fleet would otherwise grow the
-/// log without bound), while the counters keep counting everything.
+/// log without bound), while the tally keeps counting everything.
 #[derive(Default)]
 pub struct EventLog {
     events: Vec<Event>,
-    counters: Counters,
+    tally: Tally,
     sink: Option<LogTelemetry>,
     /// Retained-event bound; `0` = unbounded (the historical default).
     capacity: usize,
@@ -349,89 +352,65 @@ impl EventLog {
         }
     }
 
-    /// Rebuilds a log from a previously exported event stream, replaying
-    /// each event through [`EventLog::record`] so the derived counters
-    /// are recomputed — a restored log is indistinguishable from one
-    /// that never stopped.
-    pub fn restore(events: Vec<Event>) -> EventLog {
-        let mut log = EventLog::new();
-        for e in events {
-            log.record(e.at, &e.device, e.kind);
-        }
-        log
-    }
-
     /// Rebuilds a log from snapshot parts: the retained event window
-    /// plus the authoritative counters and drop count. Unlike
-    /// [`EventLog::restore`], nothing is replayed — when the ring has
-    /// wrapped, the retained window no longer determines the counters,
-    /// so they must be carried explicitly.
-    pub fn restore_parts(
+    /// plus the tally and drop count. Nothing is replayed — when the
+    /// ring has wrapped, the retained window no longer determines the
+    /// tally, so it must be carried explicitly.
+    pub(crate) fn restore_parts(
         events: Vec<Event>,
-        counters: Counters,
+        tally: Tally,
         events_dropped: u64,
         capacity: usize,
     ) -> EventLog {
         EventLog {
             events,
-            counters,
+            tally,
             sink: None,
             capacity,
             events_dropped,
         }
     }
 
-    /// Attaches the log to a telemetry registry: counters are exported
+    /// The tally, for the snapshot.
+    pub(crate) fn tally(&self) -> Tally {
+        self.tally
+    }
+
+    /// Attaches the log to a telemetry registry: the tally is exported
     /// as `service_*_total` series and passed-round latencies feed a
     /// `service_round_latency_ticks` histogram (virtual ticks —
-    /// deterministic for a fixed seed). Events already in the log are
-    /// replayed through the sink first, so attaching after a
-    /// crash-restore produces the same series as never having stopped.
+    /// deterministic for a fixed seed). The counters start from the
+    /// tally, so attaching after a crash-restore or after the ring has
+    /// wrapped exports the same totals as [`EventLog::counters`]. The
+    /// histogram starts from the rounds still in the retained window.
     pub fn attach_telemetry(&mut self, reg: &Registry) {
-        let mut sink = LogTelemetry::new(reg);
-        for e in &self.events {
-            sink.observe(e.at, &e.device, &e.kind);
+        let sink = LogTelemetry {
+            facts: FACTS.map(|(name, labels)| reg.counter(name, labels)),
+            events_dropped: reg.counter("service_events_dropped_total", &[]),
+            round_latency: reg.histogram("service_round_latency_ticks", &[]),
+        };
+        for (c, &n) in sink.facts.iter().zip(&self.tally.0) {
+            c.add(n);
         }
         sink.events_dropped.add(self.events_dropped);
+        for e in &self.events {
+            if let EventKind::RoundPassed { started_at, .. } = e.kind {
+                sink.round_latency.record(e.at - started_at);
+            }
+        }
         self.sink = Some(sink);
     }
 
-    /// Appends an event and updates the derived counters.
+    /// Appends an event and counts it.
     pub fn record(&mut self, at: u64, device: &str, kind: EventKind) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.observe(at, device, &kind);
-        }
-        match &kind {
-            EventKind::Joined => self.counters.joins += 1,
-            EventKind::Left => self.counters.leaves += 1,
-            EventKind::CalibrationFailed => self.counters.calibration_failures += 1,
-            EventKind::EstablishFailed => {}
-            EventKind::StateChanged { to, .. } => {
-                if *to == DeviceState::Quarantined {
-                    self.counters.quarantines += 1;
-                }
+        if let Some(fact) = kind.fact() {
+            self.tally.0[fact] += 1;
+            if let Some(sink) = &self.sink {
+                sink.facts[fact].inc();
             }
-            EventKind::RoundStarted { .. } => self.counters.rounds_started += 1,
-            EventKind::RoundPassed { .. } => self.counters.rounds_passed += 1,
-            EventKind::RoundFailed { reason, .. } => match reason {
-                FailReason::WrongValue => self.counters.value_rejects += 1,
-                FailReason::TooSlow => self.counters.timing_rejects += 1,
-                FailReason::Timeout => self.counters.timeouts += 1,
-                // Deliberately not folded into `timeouts`: dashboards
-                // must tell a flapping link from a hung device. The
-                // link itself is counted by `link_downs`.
-                FailReason::LinkDown => {}
-                FailReason::Relay => self.counters.relay_rejects += 1,
-            },
-            EventKind::Restarted { .. } => self.counters.restarts += 1,
-            EventKind::LateResponse { .. } => self.counters.late_responses += 1,
-            EventKind::FreshnessChanged { .. } => self.counters.freshness_transitions += 1,
-            EventKind::EpochSealed { .. } => self.counters.epochs_sealed += 1,
-            EventKind::LinkDown => self.counters.link_downs += 1,
-            EventKind::LinkResumed => self.counters.link_resumes += 1,
-            EventKind::SpotCheckSkipped { .. } => self.counters.spotcheck_skips += 1,
-            EventKind::QuorumDisputed { .. } => self.counters.quorum_disputes += 1,
-            EventKind::VerifierSuspected { .. } => self.counters.verifier_suspects += 1,
+        }
+        if let (Some(sink), EventKind::RoundPassed { started_at, .. }) = (&self.sink, &kind) {
+            sink.round_latency.record(at - started_at);
         }
         self.events.push(Event {
             at,
@@ -442,7 +421,7 @@ impl EventLog {
             let drop = self.events.len() - self.capacity;
             self.events.drain(..drop);
             self.events_dropped += drop as u64;
-            if let Some(sink) = self.sink.as_mut() {
+            if let Some(sink) = &self.sink {
                 sink.events_dropped.add(drop as u64);
             }
         }
@@ -467,14 +446,14 @@ impl EventLog {
         self.capacity
     }
 
-    /// Current counter snapshot.
+    /// Current counter snapshot, derived from the tally.
     pub fn counters(&self) -> Counters {
-        self.counters
+        self.tally.counters()
     }
 
     /// Renders the counters as a JSON object (no trailing newline).
     pub fn counters_json(&self) -> String {
-        let c = self.counters;
+        let c = self.counters();
         format!(
             concat!(
                 "{{\"joins\": {}, \"leaves\": {}, \"rounds_started\": {}, ",
@@ -562,9 +541,14 @@ fn kind_json(kind: &EventKind) -> String {
         EventKind::RoundStarted { round } => {
             format!("\"kind\": \"round_started\", \"round\": {round}")
         }
-        EventKind::RoundPassed { round, measured } => {
-            format!("\"kind\": \"round_passed\", \"round\": {round}, \"measured\": {measured}")
-        }
+        EventKind::RoundPassed {
+            round,
+            measured,
+            started_at,
+        } => format!(
+            "\"kind\": \"round_passed\", \"round\": {round}, \"measured\": {measured}, \
+             \"started_at\": {started_at}"
+        ),
         EventKind::RoundFailed { round, reason } => format!(
             "\"kind\": \"round_failed\", \"round\": {round}, \"reason\": \"{}\"",
             reason.as_str()
@@ -665,7 +649,11 @@ mod tests {
             log.record(
                 start + lat,
                 "a",
-                EventKind::RoundPassed { round, measured: 1 },
+                EventKind::RoundPassed {
+                    round,
+                    measured: 1,
+                    started_at: start,
+                },
             );
         }
         let snap = latency_histogram(&reg);
@@ -679,6 +667,29 @@ mod tests {
                 (lo..=hi).contains(&reported),
                 "q={q}: reported {reported} outside exact {exact}'s bucket [{lo},{hi}]"
             );
+        }
+    }
+
+    /// Every labelled fact sits at the slot [`EventKind::fact`] gives
+    /// its reason or level, under that reason's or level's own tag.
+    #[test]
+    fn labelled_facts_sit_at_their_reason_and_level_slots() {
+        for reason in [
+            FailReason::WrongValue,
+            FailReason::TooSlow,
+            FailReason::Timeout,
+            FailReason::LinkDown,
+            FailReason::Relay,
+        ] {
+            let fact = EventKind::RoundFailed { round: 1, reason }.fact().unwrap();
+            assert_eq!(FACTS[fact].0, "service_rounds_failed_total");
+            assert_eq!(FACTS[fact].1, [("reason", reason.as_str())]);
+        }
+        for to in [Freshness::Trusted, Freshness::Stale, Freshness::Degraded] {
+            let from = Freshness::Trusted;
+            let fact = EventKind::FreshnessChanged { from, to }.fact().unwrap();
+            assert_eq!(FACTS[fact].0, "service_freshness_transitions_total");
+            assert_eq!(FACTS[fact].1, [("to", to.as_str())]);
         }
     }
 
@@ -738,7 +749,11 @@ mod tests {
             log.record(
                 i * 100 + lat,
                 "a",
-                EventKind::RoundPassed { round, measured: 1 },
+                EventKind::RoundPassed {
+                    round,
+                    measured: 1,
+                    started_at: i * 100,
+                },
             );
         }
         assert!(log.events_dropped() > 0, "ring must have wrapped");
@@ -753,50 +768,6 @@ mod tests {
         assert!((lo..=hi).contains(&p99), "p99 {p99} outside [{lo},{hi}]");
     }
 
-    /// Rounds that fail never pass, so their latency entries must not
-    /// outlive them: a device keeps at most one open round, and leaving
-    /// closes it.
-    #[test]
-    fn failed_and_left_rounds_do_not_stay_open() {
-        let reg = Registry::new();
-        let mut log = EventLog::new();
-        log.attach_telemetry(&reg);
-        let open = |log: &EventLog| log.sink.as_ref().expect("attached").open_rounds.len();
-        for round in 1..=1_000u64 {
-            log.record(round * 10, "a", EventKind::RoundStarted { round });
-            let reason = match round % 3 {
-                0 => FailReason::Timeout,
-                1 => FailReason::TooSlow,
-                _ => FailReason::WrongValue,
-            };
-            log.record(
-                round * 10 + 5,
-                "a",
-                EventKind::RoundFailed { round, reason },
-            );
-            assert!(open(&log) <= 1, "round {round}: {} open", open(&log));
-        }
-        assert_eq!(open(&log), 0);
-        log.record(20_000, "a", EventKind::RoundStarted { round: 1_001 });
-        log.record(20_001, "b", EventKind::RoundStarted { round: 1 });
-        assert_eq!(open(&log), 2);
-        log.record(20_002, "a", EventKind::Left);
-        assert_eq!(open(&log), 1);
-        log.record(
-            20_010,
-            "b",
-            EventKind::RoundPassed {
-                round: 1,
-                measured: 1,
-            },
-        );
-        assert_eq!(open(&log), 0);
-        // Only the one passed round reached the histogram.
-        let snap = latency_histogram(&reg);
-        assert_eq!(snap.count(), 1);
-        assert_eq!(snap.sum, 9);
-    }
-
     #[test]
     fn restore_parts_carries_counters_and_drops() {
         let mut log = EventLog::with_capacity(3);
@@ -805,7 +776,7 @@ mod tests {
         }
         let restored = EventLog::restore_parts(
             log.events().to_vec(),
-            log.counters(),
+            log.tally(),
             log.events_dropped(),
             log.capacity(),
         );
@@ -823,6 +794,7 @@ mod tests {
             EventKind::RoundPassed {
                 round: 2,
                 measured: 123,
+                started_at: 1,
             },
         );
         let j = log.to_json();

@@ -110,6 +110,14 @@ pub fn covers(cfg: &SamplingConfig, epoch: u64, device: &str) -> bool {
 /// caught) within `k` epochs, `1 − (1 − c)^k`. Returned in per-mille,
 /// rounded to nearest — the fixed-point convention of the telemetry
 /// gauge that exports it.
+///
+/// The model counts the first covered epoch as detection. A cheater
+/// that answers its replay tap's recording round honestly passes that
+/// round, so when a covered epoch holds a single round, detection lands
+/// one covered epoch later than the model says. The attack matrix's
+/// unsampled-epoch campaign
+/// (`unsampled_epoch_cheater_caught_on_{classic,precomputed}_path`)
+/// pins exactly that case.
 pub fn detect_probability_per_mille(coverage_per_mille: u32, k: u64) -> u64 {
     let c = f64::from(coverage_per_mille.min(1000)) / 1000.0;
     let p = 1.0 - (1.0 - c).powi(k.min(i32::MAX as u64) as i32);
@@ -120,6 +128,11 @@ pub fn detect_probability_per_mille(coverage_per_mille: u32, k: u64) -> u64 {
 /// `confidence_per_mille` probability: `⌈ln(1−conf)/ln(1−c)⌉`. The `k`
 /// the detection gauge is quoted at, and the horizon the attack matrix
 /// holds the sampled-epoch campaigns to.
+///
+/// Same caveat as [`detect_probability_per_mille`]: against a cheater
+/// that answers its replay tap's recording round honestly, detection
+/// lands one covered epoch later whenever a covered epoch holds a
+/// single round.
 pub fn epochs_to_detect(coverage_per_mille: u32, confidence_per_mille: u32) -> u64 {
     let c = f64::from(coverage_per_mille.min(1000)) / 1000.0;
     if c >= 1.0 {

@@ -233,7 +233,8 @@ pub(crate) struct Outstanding {
     pub(crate) expected: Option<[u32; 8]>,
     pub(crate) deadline: u64,
     /// Virtual time the challenge was dispatched — the wall anchor the
-    /// relay/topology detector subtracts reported compute time from.
+    /// relay/topology detector subtracts reported compute time from,
+    /// and the start of the round latency `RoundPassed` reports.
     pub(crate) started_at: u64,
 }
 
@@ -538,29 +539,34 @@ impl<T: Transport> AttestationService<T> {
 
     /// Attaches the whole service to a telemetry registry: the event
     /// log's round-lifecycle counters and latency histogram
-    /// (`service_*`), every enrolled device's verifier verdicts
-    /// (`verifier_*{device, cause, path}`), challenge-bank counters
-    /// (`vf_bank_*{device}`) and simulator stats (`sim_*{device}`).
-    /// Devices joining later are attached automatically. Attaching
-    /// after a crash-restore replays the restored event history into
-    /// the sink first, so the series match a service that never
-    /// stopped.
+    /// (`service_*`), the verifiers' verdicts
+    /// (`verifier_*{cause, path}`), the challenge banks' counters
+    /// (`vf_bank_*`) and the simulators' stats (`sim_*`). Series are
+    /// labelled by cause, path and state, never by device: every
+    /// device feeds the same fleet series, so the series count does
+    /// not grow with the fleet. Per-device detail comes from
+    /// [`AttestationService::health_of`],
+    /// [`AttestationService::report_for`] and the event log.
+    ///
+    /// Devices joining later are attached automatically. The
+    /// `service_*_total` series start from the event log's tally, so
+    /// attaching after a crash-restore exports the same totals as a
+    /// service that never stopped.
     pub fn attach_telemetry(&mut self, reg: &Registry) {
         self.log.attach_telemetry(reg);
         for i in 0..self.roster.len() {
             let slot = self.roster[i] as usize;
             let d = &mut self.devices[slot];
-            let name = d.node.member.name.clone();
-            d.verifier.attach_telemetry(reg, &[("device", &name)]);
-            d.node
-                .member
-                .session
-                .dev
-                .install_telemetry(reg, &[("device", &name)]);
+            d.verifier.attach_telemetry(reg);
+            d.node.member.session.dev.install_telemetry(reg);
         }
         // The sampling layer's model quantities: the coverage knob and
         // the closed-form detection probability at the horizon `k` that
         // reaches ≥ 98% confidence — both fixed-point per-mille gauges.
+        // The model counts the first covered epoch as detection; a
+        // cheater that answers its replay tap's recording round
+        // honestly is caught one covered epoch later whenever a covered
+        // epoch holds a single round (see `sampling::epochs_to_detect`).
         if self.cfg.sampling.is_active() {
             let cov = self.cfg.sampling.coverage_per_mille;
             let k = crate::sampling::epochs_to_detect(cov, 980);
@@ -711,11 +717,8 @@ impl<T: Transport> AttestationService<T> {
             }
         }
         if let Some(reg) = &self.registry {
-            verifier.attach_telemetry(reg, &[("device", &name)]);
-            member
-                .session
-                .dev
-                .install_telemetry(reg, &[("device", &name)]);
+            verifier.attach_telemetry(reg);
+            member.session.dev.install_telemetry(reg);
         }
 
         let mut state = DeviceState::Enrolled;
@@ -1597,10 +1600,8 @@ impl AttestationService<crate::tcp::TcpTransport> {
             }
         }
         if let Some(reg) = &self.registry {
-            verifier.attach_telemetry(reg, &[("device", &name)]);
-            twin.session
-                .dev
-                .install_telemetry(reg, &[("device", &name)]);
+            verifier.attach_telemetry(reg);
+            twin.session.dev.install_telemetry(reg);
         }
 
         let mut state = DeviceState::Enrolled;
@@ -1823,7 +1824,7 @@ fn core_verdict(
         None => EvidencePath::Classic,
     };
     match verdict {
-        Ok(_) => core_round_passed(cfg, now, d, round, measured, path, fx),
+        Ok(_) => core_round_passed(cfg, now, d, &o, measured, path, fx),
         Err(SageError::TimingExceeded { .. }) => {
             core_round_failed(cfg, now, d, round, FailReason::TooSlow, measured, path, fx)
         }
@@ -1844,7 +1845,7 @@ fn core_round_passed(
     cfg: &ServiceConfig,
     now: u64,
     d: &mut ManagedDevice,
-    round: u64,
+    o: &Outstanding,
     measured: u64,
     path: EvidencePath,
     fx: &mut Effects,
@@ -1857,7 +1858,12 @@ fn core_round_passed(
     d.next_action_at = Some(at);
     fx.timers.push(TimerReq::Action(at));
     let threshold = d.verifier.threshold().unwrap_or(0);
-    fx.events.push(EventKind::RoundPassed { round, measured });
+    let round = o.round;
+    fx.events.push(EventKind::RoundPassed {
+        round,
+        measured,
+        started_at: o.started_at,
+    });
     if cfg.quorum.is_active() {
         fx.votes.push(VoteReq {
             round,

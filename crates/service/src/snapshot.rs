@@ -29,7 +29,7 @@ use sage_evidence::{derive_evidence_key, ChainAnchor, EvidenceChain, Freshness};
 use sage_vf::ReplayPool;
 use std::collections::VecDeque;
 
-use crate::events::{Counters, Event, EventKind, EventLog, FailReason};
+use crate::events::{Event, EventKind, EventLog, FailReason, Tally};
 use crate::net::{NodeId, Transport};
 use crate::node::DeviceNode;
 use crate::quorum::{VerifierBehavior, VerifierSet};
@@ -54,8 +54,10 @@ const MAGIC: u32 = 0x5A6E_A950;
 /// sampling/quorum/relay counters and event kinds. Version 6 encodes each
 /// evidence chain as its anchor (seq, head and the freshness anchor at
 /// that point) plus the records after it, in place of the whole chain
-/// and a separate freshness anchor.
-const VERSION: u16 = 6;
+/// and a separate freshness anchor. Version 7 carries the event log's
+/// tally (failures by reason, freshness changes by level) in place of
+/// the counters block, and each passed round's dispatch time.
+const VERSION: u16 = 7;
 
 /// Why a snapshot could not be decoded or re-married to its endpoints.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -192,10 +194,15 @@ fn put_event(out: &mut Vec<u8>, e: &Event) {
             out.push(4);
             put_u64(out, *round);
         }
-        EventKind::RoundPassed { round, measured } => {
+        EventKind::RoundPassed {
+            round,
+            measured,
+            started_at,
+        } => {
             out.push(5);
             put_u64(out, *round);
             put_u64(out, *measured);
+            put_u64(out, *started_at);
         }
         EventKind::RoundFailed { round, reason } => {
             out.push(6);
@@ -352,7 +359,7 @@ pub(crate) fn encode<T: Transport>(svc: &AttestationService<T>) -> Vec<u8> {
     for e in events {
         put_event(&mut out, e);
     }
-    put_counters(&mut out, &svc.log.counters());
+    put_tally(&mut out, &svc.log.tally());
     put_u64(&mut out, svc.log.events_dropped());
     // Verifier-quorum running state. Vote keys are not snapshotted:
     // they re-derive from the configured quorum seed on restore,
@@ -375,29 +382,9 @@ pub(crate) fn encode<T: Transport>(svc: &AttestationService<T>) -> Vec<u8> {
     out
 }
 
-/// Counters are encoded in declaration order; the decoder mirrors this.
-fn put_counters(out: &mut Vec<u8>, c: &Counters) {
-    for v in [
-        c.joins,
-        c.leaves,
-        c.rounds_started,
-        c.rounds_passed,
-        c.value_rejects,
-        c.timing_rejects,
-        c.timeouts,
-        c.restarts,
-        c.late_responses,
-        c.quarantines,
-        c.calibration_failures,
-        c.freshness_transitions,
-        c.epochs_sealed,
-        c.link_downs,
-        c.link_resumes,
-        c.spotcheck_skips,
-        c.quorum_disputes,
-        c.verifier_suspects,
-        c.relay_rejects,
-    ] {
+/// The tally is encoded in slot order; the decoder mirrors this.
+fn put_tally(out: &mut Vec<u8>, t: &Tally) {
+    for &v in &t.0 {
         put_u64(out, v);
     }
 }
@@ -555,7 +542,7 @@ struct Decoded {
     next_seal_at: Option<u64>,
     sealed_epochs: Vec<SealedEpoch>,
     events: Vec<Event>,
-    counters: Counters,
+    tally: Tally,
     events_dropped: u64,
     quorum: Option<QuorumRecord>,
 }
@@ -702,6 +689,7 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
             5 => EventKind::RoundPassed {
                 round: r.u64()?,
                 measured: r.u64()?,
+                started_at: r.u64()?,
             },
             6 => EventKind::RoundFailed {
                 round: r.u64()?,
@@ -739,27 +727,10 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
         };
         events.push(Event { at, device, kind });
     }
-    let counters = Counters {
-        joins: r.u64()?,
-        leaves: r.u64()?,
-        rounds_started: r.u64()?,
-        rounds_passed: r.u64()?,
-        value_rejects: r.u64()?,
-        timing_rejects: r.u64()?,
-        timeouts: r.u64()?,
-        restarts: r.u64()?,
-        late_responses: r.u64()?,
-        quarantines: r.u64()?,
-        calibration_failures: r.u64()?,
-        freshness_transitions: r.u64()?,
-        epochs_sealed: r.u64()?,
-        link_downs: r.u64()?,
-        link_resumes: r.u64()?,
-        spotcheck_skips: r.u64()?,
-        quorum_disputes: r.u64()?,
-        verifier_suspects: r.u64()?,
-        relay_rejects: r.u64()?,
-    };
+    let mut tally = Tally::default();
+    for v in &mut tally.0 {
+        *v = r.u64()?;
+    }
     let events_dropped = r.u64()?;
     let quorum = if r.flag("quorum")? {
         let n = r.u16()? as usize;
@@ -800,7 +771,7 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
         next_seal_at,
         sealed_epochs,
         events,
-        counters,
+        tally,
         events_dropped,
         quorum,
     })
@@ -915,7 +886,7 @@ pub(crate) fn restore<T: Transport>(
     let worker_pool = (cfg.workers > 0).then(|| ReplayPool::new(cfg.workers));
     let log = EventLog::restore_parts(
         decoded.events,
-        decoded.counters,
+        decoded.tally,
         decoded.events_dropped,
         cfg.event_capacity,
     );
@@ -1054,7 +1025,7 @@ mod tests {
         out.push(0); // next_seal_at
         put_u32(&mut out, 0); // sealed epochs
         put_u32(&mut out, 0); // events
-        put_counters(&mut out, &Counters::default());
+        put_tally(&mut out, &Tally::default());
         put_u64(&mut out, 0); // events_dropped
         out.push(0); // quorum
         let d = decode(&out).unwrap();
@@ -1062,7 +1033,7 @@ mod tests {
         assert_eq!(d.next_node, 7);
         assert!(d.devices.is_empty());
         assert!(d.events.is_empty());
-        assert_eq!(d.counters, Counters::default());
+        assert_eq!(d.tally, Tally::default());
         assert_eq!(d.events_dropped, 0);
         // Trailing garbage is rejected, not ignored.
         out.push(0);

@@ -534,10 +534,11 @@ impl AtomicStats {
 
 #[derive(Clone)]
 struct Telemetry {
-    registry: Registry,
     reconnects: Counter,
     frames_shed: Counter,
     heartbeat_misses: Counter,
+    /// Outbox depth after each enqueue, across every peer.
+    outbox_depth: Histogram,
 }
 
 #[derive(Default)]
@@ -571,7 +572,6 @@ struct PeerShared {
     link_key: [u8; 16],
     outbox: Mutex<OutboxState>,
     cond: Condvar,
-    depth_hist: Mutex<Option<Histogram>>,
 }
 
 impl PeerShared {
@@ -679,21 +679,15 @@ impl TcpTransport {
 
     /// Registers transport metrics on `registry`:
     /// `transport_reconnects_total`, `transport_frames_shed_total`,
-    /// `transport_heartbeat_misses_total`, plus a per-peer
-    /// `transport_outbox_depth` histogram as peers are adopted.
+    /// `transport_heartbeat_misses_total`, plus one
+    /// `transport_outbox_depth` histogram over every peer's outbox.
     pub fn attach_telemetry(&self, registry: &Registry) {
         let tele = Telemetry {
-            registry: registry.clone(),
             reconnects: registry.counter("transport_reconnects_total", &[]),
             frames_shed: registry.counter("transport_frames_shed_total", &[]),
             heartbeat_misses: registry.counter("transport_heartbeat_misses_total", &[]),
+            outbox_depth: registry.histogram("transport_outbox_depth", &[]),
         };
-        for peer in self.node_index.values() {
-            let hist = tele
-                .registry
-                .histogram("transport_outbox_depth", &[("device", &peer.name)]);
-            *lock_unpoisoned(&peer.depth_hist) = Some(hist);
-        }
         *lock_unpoisoned(&self.shared.telemetry) = Some(tele);
     }
 
@@ -765,14 +759,7 @@ impl TcpTransport {
                 next_hb_seq: 1,
             }),
             cond: Condvar::new(),
-            depth_hist: Mutex::new(None),
         });
-        if let Some(t) = lock_unpoisoned(&self.shared.telemetry).as_ref() {
-            let hist = t
-                .registry
-                .histogram("transport_outbox_depth", &[("device", &name)]);
-            *lock_unpoisoned(&peer.depth_hist) = Some(hist);
-        }
         lock_unpoisoned(&self.shared.peers).insert(name, Arc::clone(&peer));
         self.node_index.insert(node, Arc::clone(&peer));
         attach_connection(&self.shared, &peer, stream);
@@ -1123,8 +1110,8 @@ impl Transport for TcpTransport {
         peer.cond.notify_all();
         drop(ob);
         self.shared.stats.frames_tx.fetch_add(1, Ordering::Relaxed);
-        if let Some(h) = lock_unpoisoned(&peer.depth_hist).as_ref() {
-            h.record(depth as u64);
+        if let Some(t) = lock_unpoisoned(&self.shared.telemetry).as_ref() {
+            t.outbox_depth.record(depth as u64);
         }
     }
 

@@ -1,75 +1,32 @@
-//! A sharded atomic counter.
+//! A shared atomic counter.
 //!
-//! Fleet-scale paths bump counters from many threads at once (bank
-//! refill workers, replay-pool workers, per-SM simulator workers). A
-//! single `AtomicU64` would make every bump a cross-core cache-line
-//! bounce; instead each counter owns a small fixed set of
-//! cache-line-padded shards and every thread sticks to one shard,
-//! assigned round-robin the first time it touches *any* counter. Reads
-//! sum the shards — counters are monotonic, so a racing read is merely
-//! a slightly stale total, never a wrong one.
+//! The control plane bumps its counters from one thread, and the few
+//! multi-threaded producers (bank refill workers, per-SM simulator
+//! folds) bump once per refill or per run, not per cycle — so one
+//! relaxed `fetch_add` on one `AtomicU64` is the whole cost.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Number of shards per counter. Small on purpose: reads stay cheap,
-/// and with one shard per *thread slot* (not per thread) collisions
-/// only cost an occasional shared bump, never wrong totals.
-const SHARDS: usize = 8;
-
-/// One shard, padded to a cache line so neighbouring shards never
-/// false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct Shard(AtomicU64);
-
-thread_local! {
-    /// This thread's shard slot, assigned on first use.
-    static SHARD_SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
-}
-
-/// Round-robin source for thread shard slots.
-static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-fn shard_slot() -> usize {
-    SHARD_SLOT.with(|slot| {
-        let mut s = slot.get();
-        if s == usize::MAX {
-            s = NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-            slot.set(s);
-        }
-        s
-    })
-}
 
 /// A monotonically increasing counter, cheap to bump from any thread.
 ///
-/// Cloning is shallow: clones share the same shards, so a clone handed
+/// Cloning is shallow: clones share the same cell, so a clone handed
 /// to an instrumented component and the registry's copy always agree.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct Counter {
-    shards: Arc<[Shard; SHARDS]>,
-}
-
-impl Default for Counter {
-    fn default() -> Counter {
-        Counter::new()
-    }
+    value: Arc<AtomicU64>,
 }
 
 impl Counter {
     /// Creates a counter at zero.
     pub fn new() -> Counter {
-        Counter {
-            shards: Arc::new(Default::default()),
-        }
+        Counter::default()
     }
 
-    /// Adds `n` (relaxed; one `fetch_add` on this thread's shard).
+    /// Adds `n` (one relaxed `fetch_add`).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.shards[shard_slot()].0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds 1.
@@ -78,12 +35,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current total across all shards.
+    /// The current total.
     pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.value.load(Ordering::Relaxed)
     }
 }
 

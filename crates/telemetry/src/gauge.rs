@@ -4,9 +4,8 @@
 //! sampling layer exports a *model* quantity — the per-device detection
 //! probability `P(detect within k epochs)` — that moves in both
 //! directions as coverage knobs change. A gauge is one atomic `u64`
-//! holding the latest set value; no shards, because gauges are written
-//! from the single-threaded control loop and read on the cold export
-//! path.
+//! holding the latest set value, like a [`Counter`](crate::Counter)
+//! that is stored to instead of added to.
 //!
 //! Values are plain `u64`. Fractional quantities export in fixed-point
 //! per-mille (the convention the service layer already uses for link

@@ -6,8 +6,8 @@
 //! visibility into latencies, stalls and rejection causes. This crate
 //! provides the primitives every layer shares:
 //!
-//! - [`Counter`] — a sharded atomic counter. Hot paths pay one relaxed
-//!   `fetch_add` on a cache-line-padded shard; reads sum the shards.
+//! - [`Counter`] — one shared `AtomicU64`. A bump is one relaxed
+//!   `fetch_add`.
 //! - [`Gauge`] — a last-value cell for model quantities that move both
 //!   ways (e.g. the sampling layer's detection probability), exported
 //!   in fixed-point per-mille to keep the renderers integer-only.
@@ -16,9 +16,9 @@
 //!   queries. Recording is two relaxed `fetch_add`s, no CAS loops.
 //! - [`WallSpan`] / [`VirtualSpan`] — lightweight spans stamped from
 //!   the wall clock or from the service layer's virtual clock.
-//! - [`Registry`] — a named, labeled instrument directory with
-//!   stable-schema JSON ([`Registry::to_json`]) and Prometheus text
-//!   ([`Registry::to_prometheus`]) exporters.
+//! - [`Registry`] — a get-or-create directory of named, labeled
+//!   instruments with stable-schema JSON ([`Registry::to_json`]) and
+//!   Prometheus text ([`Registry::to_prometheus`]) exporters.
 //!
 //! # Schema stability
 //!

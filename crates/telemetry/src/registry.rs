@@ -1,19 +1,17 @@
 //! The instrument directory and its two exporters.
 //!
 //! A [`Registry`] maps `(name, labels)` to an instrument. Components
-//! either ask the registry to mint an instrument
-//! ([`Registry::counter`] / [`Registry::histogram`] — get-or-create,
-//! so two callers naming the same series share state) or register an
-//! instrument they already own ([`Registry::register_counter`] /
-//! [`Registry::register_histogram`] — how the `ChallengeBank` exposes
-//! counters that predate the registry).
+//! ask the registry for an instrument ([`Registry::counter`] /
+//! [`Registry::gauge`] / [`Registry::histogram`]); the call is
+//! get-or-create, so every caller naming the same series shares one
+//! handle. That is how a fleet of devices feeds one set of series.
 //!
 //! # Exporters and schema stability
 //!
 //! [`Registry::to_json`] and [`Registry::to_prometheus`] sort series
 //! by `(name, labels)` and format numbers deterministically, so equal
 //! telemetry states render byte-identically. The JSON schema carries
-//! an explicit `"schema": 1` version; bumping it is a deliberate act
+//! an explicit `"schema": 2` version; bumping it is a deliberate act
 //! that breaks the golden tests (DESIGN.md §8).
 
 use std::collections::HashMap;
@@ -62,9 +60,9 @@ pub type CollectedSeries = (String, Labels, MetricValue);
 
 /// The registry's interior: the series in registration order plus a
 /// hash index over `(name, labels)`. The index keeps get-or-create
-/// O(1): a fleet-scale enrollment mints a handful of per-device series
-/// per join, and a linear directory scan would turn the whole
-/// enrollment quadratic in fleet size.
+/// O(1): every fleet join asks for the same few dozen series again,
+/// and a linear directory scan would cost each join the whole
+/// directory.
 #[derive(Default)]
 struct Directory {
     series: Vec<Series>,
@@ -138,33 +136,6 @@ impl Registry {
         h
     }
 
-    /// Registers an existing counter under `name{labels}` (shares state
-    /// with the caller's handle). Replaces any previous instrument on
-    /// the same series — re-registration after a component restart must
-    /// expose the live instrument, not a stale one.
-    pub fn register_counter(&self, name: &str, labels: &[(&str, &str)], counter: Counter) {
-        self.register(name, labels, Instrument::Counter(counter));
-    }
-
-    /// Registers an existing gauge under `name{labels}`.
-    pub fn register_gauge(&self, name: &str, labels: &[(&str, &str)], gauge: Gauge) {
-        self.register(name, labels, Instrument::Gauge(gauge));
-    }
-
-    /// Registers an existing histogram under `name{labels}`.
-    pub fn register_histogram(&self, name: &str, labels: &[(&str, &str)], hist: Histogram) {
-        self.register(name, labels, Instrument::Histogram(hist));
-    }
-
-    fn register(&self, name: &str, labels: &[(&str, &str)], instrument: Instrument) {
-        let mut dir = lock_unpoisoned(&self.inner);
-        if let Some(&i) = dir.index.get(&key_of(name, labels)) {
-            dir.series[i].instrument = instrument;
-            return;
-        }
-        dir.push(name, labels, instrument);
-    }
-
     /// All series values, sorted by `(name, labels)` — the exporters'
     /// iteration order, exposed for tests and ad-hoc reporting.
     pub fn collect(&self) -> Vec<CollectedSeries> {
@@ -191,7 +162,7 @@ impl Registry {
     /// (bucket upper bounds) and the non-empty buckets as
     /// `[upper_bound, count]` pairs.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": 1,\n  \"metrics\": [\n");
+        let mut out = String::from("{\n  \"schema\": 2,\n  \"metrics\": [\n");
         let collected = self.collect();
         for (i, (name, labels, value)) in collected.iter().enumerate() {
             out.push_str("    {\"name\": \"");
@@ -329,8 +300,8 @@ fn key_of(name: &str, labels: &[(&str, &str)]) -> (String, Labels) {
 }
 
 /// Escapes a string for a JSON string literal (same subset the service
-/// layer's exporter escapes — names here are static identifiers, but
-/// label *values* can carry operator-supplied device names).
+/// layer's exporter escapes — names here are static identifiers, and
+/// label values are too, but the exporter must not trust that).
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -405,16 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn registered_counter_shares_state() {
-        let reg = Registry::new();
-        let mine = Counter::new();
-        mine.add(7);
-        reg.register_counter("bank_hits_total", &[], mine.clone());
-        mine.add(1);
-        assert_eq!(reg.collect()[0].2, MetricValue::Counter(8));
-    }
-
-    #[test]
     fn gauge_series_export_last_value_in_both_formats() {
         let reg = Registry::new();
         let g = reg.gauge("detect_probability_per_mille", &[("k", "4")]);
@@ -446,7 +407,7 @@ mod tests {
         let alpha = a.find("alpha_total").unwrap();
         let zeta = a.find("zeta_total").unwrap();
         assert!(alpha < zeta, "series must be name-sorted");
-        assert!(a.contains("\"schema\": 1"));
+        assert!(a.contains("\"schema\": 2"));
         assert!(a.contains("\"count\": 2, \"sum\": 110"));
     }
 

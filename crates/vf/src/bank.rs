@@ -150,10 +150,41 @@ fn guard_tag(round: &PrecomputedRound) -> u64 {
     h
 }
 
+/// The fleet series each bank count feeds, in [`BankCounters`] field
+/// order — the index of every count below.
+const SERIES: [&str; 5] = [
+    "vf_bank_hits_total",
+    "vf_bank_misses_total",
+    "vf_bank_refills_total",
+    "vf_bank_fingerprint_rejects_total",
+    "vf_bank_poisoned_total",
+];
+const HIT: usize = 0;
+const MISS: usize = 1;
+const REFILL: usize = 2;
+const FOREIGN: usize = 3;
+const POISONED: usize = 4;
+
 struct BankState {
     queue: VecDeque<Stocked>,
     gen: ChallengeFn,
     stop: bool,
+    /// This bank's own effectiveness counts, indexed like [`SERIES`].
+    counts: [u64; 5],
+    /// The registry's fleet-wide series, once registered (see
+    /// [`ChallengeBank::register_telemetry`]).
+    series: Option<[Counter; 5]>,
+}
+
+impl BankState {
+    /// Counts one `what` (a [`SERIES`] index) here and in the fleet
+    /// series.
+    fn count(&mut self, what: usize) {
+        self.counts[what] += 1;
+        if let Some(series) = &self.series {
+            series[what].inc();
+        }
+    }
 }
 
 struct Inner {
@@ -165,14 +196,6 @@ struct Inner {
     space: Condvar,
     /// Signalled when stock arrives — blocking takers wait.
     stock: Condvar,
-    /// Effectiveness counters, shared telemetry instruments so a
-    /// registry sees the live values (see
-    /// [`ChallengeBank::register_telemetry`]).
-    hits: Counter,
-    misses: Counter,
-    refills: Counter,
-    fingerprint_rejects: Counter,
-    poisoned: Counter,
 }
 
 /// A bounded, fingerprint-keyed queue of precomputed rounds.
@@ -212,7 +235,7 @@ impl Inner {
         };
         let guard = guard_tag(&round);
         state.queue.push_back(Stocked { round, guard });
-        self.refills.inc();
+        state.count(REFILL);
         self.stock.notify_all();
     }
 
@@ -225,7 +248,7 @@ impl Inner {
             if stocked.guard == guard_tag(&stocked.round) {
                 return Some(stocked.round);
             }
-            self.poisoned.inc();
+            state.count(POISONED);
         }
         None
     }
@@ -243,14 +266,11 @@ impl ChallengeBank {
                 queue: VecDeque::new(),
                 gen,
                 stop: false,
+                counts: [0; 5],
+                series: None,
             }),
             space: Condvar::new(),
             stock: Condvar::new(),
-            hits: Counter::new(),
-            misses: Counter::new(),
-            refills: Counter::new(),
-            fingerprint_rejects: Counter::new(),
-            poisoned: Counter::new(),
         });
         // Failure to spawn a worker (thread exhaustion on the verifier
         // host) degrades the bank to fewer — possibly zero — background
@@ -290,34 +310,28 @@ impl ChallengeBank {
         self.inner.capacity
     }
 
-    /// Exposes the live effectiveness counters through a telemetry
-    /// registry as `vf_bank_*_total{labels}` series. The registered
-    /// instruments *are* the bank's own counters (shared state), so the
-    /// registry always exports current values with no polling adapter.
-    pub fn register_telemetry(&self, reg: &Registry, labels: &[(&str, &str)]) {
-        reg.register_counter("vf_bank_hits_total", labels, self.inner.hits.clone());
-        reg.register_counter("vf_bank_misses_total", labels, self.inner.misses.clone());
-        reg.register_counter("vf_bank_refills_total", labels, self.inner.refills.clone());
-        reg.register_counter(
-            "vf_bank_fingerprint_rejects_total",
-            labels,
-            self.inner.fingerprint_rejects.clone(),
-        );
-        reg.register_counter(
-            "vf_bank_poisoned_total",
-            labels,
-            self.inner.poisoned.clone(),
-        );
+    /// Feeds this bank's effectiveness counts into the registry's
+    /// fleet-wide `vf_bank_*_total` series, which every bank on the
+    /// registry shares. Counts made before the call are added first, so
+    /// the series sum every bank's whole history.
+    pub fn register_telemetry(&self, reg: &Registry) {
+        let mut state = lock_unpoisoned(&self.inner.state);
+        let series = SERIES.map(|name| reg.counter(name, &[]));
+        for (c, &n) in series.iter().zip(&state.counts) {
+            c.add(n);
+        }
+        state.series = Some(series);
     }
 
-    /// Counter snapshot.
+    /// This bank's own counts.
     pub fn counters(&self) -> BankCounters {
+        let c = lock_unpoisoned(&self.inner.state).counts;
         BankCounters {
-            hits: self.inner.hits.get(),
-            misses: self.inner.misses.get(),
-            refills: self.inner.refills.get(),
-            fingerprint_rejects: self.inner.fingerprint_rejects.get(),
-            poisoned: self.inner.poisoned.get(),
+            hits: c[HIT],
+            misses: c[MISS],
+            refills: c[REFILL],
+            fingerprint_rejects: c[FOREIGN],
+            poisoned: c[POISONED],
         }
     }
 
@@ -328,21 +342,14 @@ impl ChallengeBank {
     /// build than this bank serves — stock computed for build A is never
     /// issued for build B.
     pub fn take(&self, fp: &Fingerprint) -> Result<Option<PrecomputedRound>, BankError> {
+        let mut state = lock_unpoisoned(&self.inner.state);
         if *fp != self.inner.fingerprint {
-            self.inner.fingerprint_rejects.inc();
+            state.count(FOREIGN);
             return Err(BankError::ForeignFingerprint);
         }
-        let mut state = lock_unpoisoned(&self.inner.state);
-        match self.inner.pop_valid(&mut state) {
-            Some(pair) => {
-                self.inner.hits.inc();
-                Ok(Some(pair))
-            }
-            None => {
-                self.inner.misses.inc();
-                Ok(None)
-            }
-        }
+        let pair = self.inner.pop_valid(&mut state);
+        state.count(if pair.is_some() { HIT } else { MISS });
+        Ok(pair)
     }
 
     /// Blocking take: always returns a *valid* pair for a matching
@@ -351,21 +358,21 @@ impl ChallengeBank {
     /// empty — or fully poisoned — bank is refilled synchronously on the
     /// calling thread, preserving the deterministic generator order.
     pub fn take_blocking(&self, fp: &Fingerprint) -> Result<PrecomputedRound, BankError> {
+        let mut state = lock_unpoisoned(&self.inner.state);
         if *fp != self.inner.fingerprint {
-            self.inner.fingerprint_rejects.inc();
+            state.count(FOREIGN);
             return Err(BankError::ForeignFingerprint);
         }
-        let mut state = lock_unpoisoned(&self.inner.state);
         let mut first_attempt = true;
         loop {
             if let Some(pair) = self.inner.pop_valid(&mut state) {
                 if first_attempt {
-                    self.inner.hits.inc();
+                    state.count(HIT);
                 }
                 return Ok(pair);
             }
             if first_attempt {
-                self.inner.misses.inc();
+                state.count(MISS);
                 first_attempt = false;
             }
             if self.workers.is_empty() {
@@ -502,7 +509,7 @@ pub fn prefill_banks(banks: &[&ChallengeBank], n: usize, pool: &ReplayPool) {
             };
             let guard = guard_tag(&round);
             state.queue.push_back(Stocked { round, guard });
-            bank.inner.refills.inc();
+            state.count(REFILL);
         }
         bank.inner.stock.notify_all();
     }
@@ -546,7 +553,7 @@ fn worker_loop(inner: &Inner) {
         };
         let guard = guard_tag(&round);
         state.queue.push_back(Stocked { round, guard });
-        inner.refills.inc();
+        state.count(REFILL);
         inner.stock.notify_all();
     }
 }

@@ -26,8 +26,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
-use sage_telemetry::{Histogram, HistogramSnapshot, Registry, WallSpan};
-
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
 struct PoolShared {
@@ -40,10 +38,6 @@ struct PoolShared {
 pub struct ReplayPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
-    /// Wall-clock latency of each [`ReplayPool::run_scoped`] call, from
-    /// submission to the last index settling — the "claim latency" the
-    /// verifier's replay path pays per round.
-    claim_ns: Histogram,
 }
 
 /// Ignores mutex poisoning: pool state stays consistent under panics
@@ -76,11 +70,7 @@ impl ReplayPool {
                 Err(_) => break,
             }
         }
-        ReplayPool {
-            shared,
-            handles,
-            claim_ns: Histogram::new(),
-        }
+        ReplayPool { shared, handles }
     }
 
     /// The inline pool: every job runs on the calling thread, in index
@@ -106,19 +96,6 @@ impl ReplayPool {
         self.handles.len()
     }
 
-    /// Snapshot of the per-call claim-latency distribution
-    /// (nanoseconds; wall-clock, so inherently nondeterministic).
-    pub fn claim_latency(&self) -> HistogramSnapshot {
-        self.claim_ns.snapshot()
-    }
-
-    /// Exposes the claim-latency histogram through a telemetry registry
-    /// as `vf_pool_claim_ns{labels}`. Wall-clock data — keep it out of
-    /// registries that feed golden/deterministic exports.
-    pub fn register_telemetry(&self, reg: &Registry, labels: &[(&str, &str)]) {
-        reg.register_histogram("vf_pool_claim_ns", labels, self.claim_ns.clone());
-    }
-
     /// Runs `f(0)..f(jobs-1)` across the pool and the calling thread,
     /// returning when all indices have completed.
     ///
@@ -127,7 +104,6 @@ impl ReplayPool {
     /// Propagates a panic from any job to the caller (after all claimed
     /// jobs have settled).
     pub fn run_scoped(&self, jobs: usize, f: &(dyn Fn(usize) + Sync)) {
-        let _span = WallSpan::start(&self.claim_ns);
         if self.handles.is_empty() || jobs <= 1 {
             for i in 0..jobs {
                 f(i);

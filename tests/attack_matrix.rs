@@ -152,7 +152,7 @@ fn assert_cause(attack: &str, path: &str, err: &SageError, cause: Cause) {
 /// 14 matrix cases.
 fn assert_rejected_on_both_paths(attack: &'static str, mut sc: Scenario) {
     let reg = Registry::new();
-    sc.verifier.attach_telemetry(&reg, &[("attack", attack)]);
+    sc.verifier.attach_telemetry(&reg);
     let cause = sc.cause.label();
 
     // Classic path: fresh challenges, online replay inside the verdict.
@@ -165,7 +165,7 @@ fn assert_rejected_on_both_paths(attack: &'static str, mut sc: Scenario) {
         counter_value(
             &reg,
             "verifier_rejects_total",
-            &[("attack", attack), ("cause", cause), ("path", "classic")],
+            &[("cause", cause), ("path", "classic")],
         ),
         1,
         "{attack}: classic reject must be labeled cause={cause}",
@@ -192,26 +192,18 @@ fn assert_rejected_on_both_paths(attack: &'static str, mut sc: Scenario) {
         counter_value(
             &reg,
             "verifier_rejects_total",
-            &[
-                ("attack", attack),
-                ("cause", cause),
-                ("path", "precomputed")
-            ],
+            &[("cause", cause), ("path", "precomputed")],
         ),
         1,
         "{attack}: fast-path reject must be labeled cause={cause}",
     );
 
-    // The bank round that fed the fast path is visible under the same
-    // attack label, and neither path accepted anything.
-    assert!(counter_value(&reg, "vf_bank_hits_total", &[("attack", attack)]) >= 1);
+    // The bank round that fed the fast path is visible in this attack's
+    // registry, and neither path accepted anything.
+    assert!(counter_value(&reg, "vf_bank_hits_total", &[]) >= 1);
     for path in ["classic", "precomputed"] {
         assert_eq!(
-            counter_value(
-                &reg,
-                "verifier_accepts_total",
-                &[("attack", attack), ("path", path)],
-            ),
+            counter_value(&reg, "verifier_accepts_total", &[("path", path)],),
             0,
             "{attack}: no accept may leak through on the {path} path",
         );

@@ -221,10 +221,9 @@ fn run_soak(seed: u64, crash: bool) -> SoakRun {
     }
 
     let flips = (0..DEVICES).map(|i| flips(&mut svc, &name(i))).sum();
-    // Attached after the horizon: the event log replays its full
-    // history into the registry, so the `service_*` series describe the
-    // whole universe — in the crash twin, everything before the restore
-    // too.
+    // Attached after the horizon: the `service_*_total` series start
+    // from the event log's tally, so they describe the whole universe —
+    // in the crash twin, everything before the restore too.
     let reg = Registry::new();
     svc.attach_telemetry(&reg);
     SoakRun {

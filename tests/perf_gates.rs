@@ -490,7 +490,7 @@ fn telemetry_arms(rounds: usize, reps: usize) -> (f64, f64) {
         let pair_seed = 7 + rep as u64 * 2;
         let mut baseline = verifier(pair_seed);
         let mut instrumented = verifier(pair_seed + 1);
-        instrumented.attach_telemetry(&reg, &[("device", "bench")]);
+        instrumented.attach_telemetry(&reg);
         if rep % 2 == 0 {
             base = base.min(timed(&mut baseline));
             instr = instr.min(timed(&mut instrumented));

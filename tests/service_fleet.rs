@@ -20,6 +20,8 @@ use sage_repro::sgx::{Enclave, SgxPlatform};
 use sage_repro::telemetry::{MetricValue, Registry};
 use sage_repro::vf::VfParams;
 
+mod fixture;
+
 fn entropy(seed: u8) -> impl EntropySource {
     let mut state = seed;
     move |buf: &mut [u8]| {
@@ -338,6 +340,47 @@ fn prefilled_fleet_converges_and_telemetry_matches_the_log() {
         counter_value(&reg, "service_devices_joined_total", &[]),
         DEVICES as u64
     );
+}
+
+/// Series are labelled by cause, path and state, never by device: a
+/// fleet ten times larger exports exactly the same series.
+#[test]
+fn series_count_does_not_grow_with_the_fleet() {
+    const ROUNDS: u64 = 2;
+    let series = |devices: usize| {
+        let cfg = ServiceConfig {
+            bank_capacity: 0,
+            bank_workers: 0,
+            ..ServiceConfig::default()
+        };
+        let mut svc = AttestationService::new(cfg, DhGroup::test_group(), perfect_net(7));
+        let reg = Registry::new();
+        svc.attach_telemetry(&reg);
+        for i in 0..devices {
+            svc.join(
+                fixture::modeled_member(i, 7),
+                fixture::enclave(b"fleet-verifier", (i as u8).wrapping_mul(5) | 1),
+            );
+        }
+        let mut windows = 0;
+        while svc.statuses().iter().any(|s| s.rounds_passed < ROUNDS) {
+            svc.run_for(cfg.reattest_interval);
+            windows += 1;
+            assert!(
+                windows <= ROUNDS * 4 + 8,
+                "{devices} devices failed to converge"
+            );
+        }
+        let collected = reg.collect();
+        for (name, labels, _) in &collected {
+            assert!(
+                labels.iter().all(|(k, _)| k != "device"),
+                "{name}{labels:?} is labelled by device"
+            );
+        }
+        collected.len()
+    };
+    assert_eq!(series(50), series(500));
 }
 
 /// Reads one counter series out of the registry, by exact label match.

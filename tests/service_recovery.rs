@@ -28,6 +28,7 @@ use sage_repro::service::{
     ServiceConfig, SimNet, SnapshotError, VerifierBehavior,
 };
 use sage_repro::sgx::{Enclave, SgxPlatform};
+use sage_repro::telemetry::{MetricValue, Registry};
 use sage_repro::vf::VfParams;
 
 fn entropy(seed: u8) -> impl EntropySource {
@@ -504,6 +505,129 @@ fn snapshot_size_is_bounded_across_epochs() {
         )
         .unwrap_or_else(|e| panic!("{name}: report rejected: {e:?}"));
     }
+}
+
+/// The exported total of `name` over every label set that carries all
+/// of `labels` (so empty `labels` sums the whole family).
+fn exported(reg: &Registry, name: &str, labels: &[(&str, &str)]) -> u64 {
+    reg.collect()
+        .into_iter()
+        .filter(|(n, ls, _)| {
+            n == name
+                && labels
+                    .iter()
+                    .all(|&(k, v)| ls.iter().any(|(lk, lv)| lk == k && lv == v))
+        })
+        .map(|(_, _, v)| match v {
+            MetricValue::Counter(c) => c,
+            other => panic!("{name} is not a counter: {other:?}"),
+        })
+        .sum()
+}
+
+/// Attaches a fresh registry and checks every `service_*_total` series
+/// against the event-log counter it exports.
+fn assert_late_attach_matches_counters(svc: &mut AttestationService<SimNet>, when: &str) {
+    let reg = Registry::new();
+    svc.attach_telemetry(&reg);
+    let c = svc.log().counters();
+    let failed = |reason| [("reason", reason)];
+    for (name, labels, want) in [
+        ("service_devices_joined_total", &[][..], c.joins),
+        ("service_devices_left_total", &[], c.leaves),
+        ("service_rounds_started_total", &[], c.rounds_started),
+        ("service_rounds_passed_total", &[], c.rounds_passed),
+        (
+            "service_rounds_failed_total",
+            &failed("wrong_value"),
+            c.value_rejects,
+        ),
+        (
+            "service_rounds_failed_total",
+            &failed("too_slow"),
+            c.timing_rejects,
+        ),
+        (
+            "service_rounds_failed_total",
+            &failed("timeout"),
+            c.timeouts,
+        ),
+        (
+            "service_rounds_failed_total",
+            &failed("relay"),
+            c.relay_rejects,
+        ),
+        ("service_restarts_total", &[], c.restarts),
+        ("service_late_responses_total", &[], c.late_responses),
+        ("service_quarantines_total", &[], c.quarantines),
+        (
+            "service_calibration_failures_total",
+            &[],
+            c.calibration_failures,
+        ),
+        (
+            "service_freshness_transitions_total",
+            &[],
+            c.freshness_transitions,
+        ),
+        ("service_epochs_sealed_total", &[], c.epochs_sealed),
+        ("service_link_downs_total", &[], c.link_downs),
+        ("service_link_resumes_total", &[], c.link_resumes),
+        ("service_spotcheck_skips_total", &[], c.spotcheck_skips),
+        ("service_quorum_disputes_total", &[], c.quorum_disputes),
+        ("service_verifier_suspects_total", &[], c.verifier_suspects),
+    ] {
+        assert_eq!(
+            exported(&reg, name, labels),
+            want,
+            "{when}: {name}{labels:?}"
+        );
+    }
+    assert_eq!(
+        exported(&reg, "service_events_dropped_total", &[]),
+        svc.log().events_dropped(),
+        "{when}: service_events_dropped_total"
+    );
+}
+
+/// A registry attached after the event ring has wrapped — on a live
+/// service, or on one restored from a snapshot with no registry —
+/// exports the log's whole counts, not just the retained window's.
+#[test]
+fn late_attach_after_the_ring_wraps_exports_the_full_counts() {
+    const FLEET: usize = 4;
+    let cfg = ServiceConfig {
+        reattest_interval: 10_000,
+        epoch_interval: 60_000,
+        // Stale between passes, so freshness changes are counted too.
+        freshness: FreshnessPolicy {
+            stale_after: 8_000,
+            degraded_after: 40_000,
+        },
+        event_capacity: 4,
+        ..ServiceConfig::default()
+    };
+    let mut svc = AttestationService::new(cfg, DhGroup::test_group(), perfect_net(5));
+    for i in 0..FLEET {
+        svc.join(modeled_member(i), enclave(i as u8 | 1));
+    }
+    svc.run_until(150_000);
+    assert!(svc.leave("gpu-0003"));
+    svc.run_until(200_000);
+    let c = svc.log().counters();
+    assert!(
+        c.rounds_passed >= 36 && c.epochs_sealed >= 3 && c.leaves == 1,
+        "too little history to wrap the ring: {c:?}"
+    );
+    assert!(svc.log().events_dropped() > 0, "ring must have wrapped");
+
+    let snap = svc.snapshot();
+    assert_late_attach_matches_counters(&mut svc, "live");
+    let (net, eps) = svc.into_endpoints();
+    let mut restored = AttestationService::restore(cfg, DhGroup::test_group(), net, &snap, eps)
+        .expect("snapshot restores against its own endpoints");
+    assert_eq!(restored.log().counters(), c);
+    assert_late_attach_matches_counters(&mut restored, "restored");
 }
 
 /// The recovery fleet replicated across an N = 4 verifier quorum with
