@@ -27,9 +27,6 @@ for workload in fleet exact uds byzantine; do
         --workload "$workload" --seed 1 --seconds 1 --trace 0
 done
 
-echo "==> sharded determinism matrix ({shards 1,4,16} x {workers 0,2,8})"
-cargo test -q --release --test service_sharded
-
 echo "==> modpow suite (Montgomery vs reference oracle, seeded)"
 cargo test -q --release -p sage-crypto montgomery
 

@@ -493,37 +493,37 @@ impl Device {
                 // Workers claim job indices from a shared counter; each
                 // result lands in its job's slot, so the merge below is
                 // in `sm_id` order no matter which worker ran which SM.
+                // The calling thread claims too, so only `workers − 1`
+                // helpers are spawned: a single-SM run spawns none.
                 type JobSlot = std::sync::Mutex<Option<(u32, Vec<PendingBlock>)>>;
                 let job_slots: Vec<JobSlot> = jobs
                     .into_iter()
                     .map(|j| std::sync::Mutex::new(Some(j)))
                     .collect();
                 let next = std::sync::atomic::AtomicUsize::new(0);
+                let claim = || {
+                    let mut local = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if i >= job_slots.len() {
+                            break;
+                        }
+                        let (sm_id, blocks) = job_slots[i]
+                            .lock()
+                            .expect("no poisoning")
+                            .take()
+                            .expect("each job claimed once");
+                        local.push((i, sm_id, run_sm(sm_id, blocks, true)));
+                    }
+                    local
+                };
                 let collected: Vec<(usize, u32, Result<SmReport>)> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers)
-                        .map(|_| {
-                            scope.spawn(|| {
-                                let mut local = Vec::new();
-                                loop {
-                                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                    if i >= job_slots.len() {
-                                        break;
-                                    }
-                                    let (sm_id, blocks) = job_slots[i]
-                                        .lock()
-                                        .expect("no poisoning")
-                                        .take()
-                                        .expect("each job claimed once");
-                                    local.push((i, sm_id, run_sm(sm_id, blocks, true)));
-                                }
-                                local
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|h| h.join().expect("SM worker panicked"))
-                        .collect()
+                    let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+                    let mut collected = claim();
+                    for h in helpers {
+                        collected.extend(h.join().expect("SM worker panicked"));
+                    }
+                    collected
                 });
                 results.resize_with(n_jobs, || None);
                 for (i, sm_id, report) in collected {

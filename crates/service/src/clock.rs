@@ -1,6 +1,6 @@
 //! Bridges the service's virtual clock to wall time, so the unmodified
-//! [`AttestationService`] loop (shards, timer wheel, evidence chains and
-//! all) runs behind a real socket transport.
+//! [`AttestationService`] loop (timer wheel, evidence chains and all)
+//! runs behind a real socket transport, on the driver's one thread.
 //!
 //! The one invariant that makes real-network runs reproducible:
 //! **virtual time never advances while an attestation round is

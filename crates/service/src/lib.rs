@@ -19,6 +19,8 @@
 //!   paper's 0.5% false-positive rule) and exponential backoff;
 //! - [`events`] — the structured event log and counters, exported as
 //!   JSON;
+//! - [`fx`] — the dependency-free Fx hasher behind the service's
+//!   node- and name-keyed maps;
 //! - [`quorum`] — N verifier replicas voting on every verdict under a
 //!   ⌈2N/3⌉ acceptance rule, with dissent flagged and sealed into the
 //!   evidence chain, plus the relay/topology detector;
@@ -29,7 +31,9 @@
 //!   lifecycle state machine (`Enrolled → Attesting → Trusted →
 //!   Degraded → Quarantined/Revoked`), deadline-driven re-attestation
 //!   scheduling, and most-powerful-first roster maintenance across
-//!   join/leave;
+//!   join/leave. Each step runs on the caller's thread: intake, one
+//!   inline work unit per due device, then a merge in one canonical
+//!   order;
 //! - [`snapshot`] — crash-safe recovery: a versioned binary snapshot of
 //!   the scheduler state plus [`snapshot::Endpoint`] hand-back, so a
 //!   restarted control plane resumes mid-schedule with a bit-identical
@@ -46,6 +50,7 @@
 
 pub mod clock;
 pub mod events;
+pub mod fx;
 pub mod net;
 pub mod node;
 pub mod policy;
@@ -53,7 +58,6 @@ pub mod proxy;
 pub mod quorum;
 pub mod sampling;
 pub mod service;
-pub mod shard;
 pub mod snapshot;
 pub mod tcp;
 pub mod wheel;
@@ -61,6 +65,7 @@ pub mod wire;
 
 pub use clock::{ClockDriver, Pump, RealTransport};
 pub use events::{Counters, Event, EventKind, EventLog, FailReason};
+pub use fx::{FxBuildHasher, FxHashMap};
 pub use net::{
     Envelope, Fault, LinkEvent, LinkProfile, NetStats, NodeId, SimNet, SplitMix64, Transport,
 };
@@ -78,7 +83,6 @@ pub use service::{
     AttestationService, DeviceHealth, DeviceState, DeviceStatus, SealedEpoch, ServiceConfig,
     SEALED_EPOCHS_KEPT, VERIFIER_NODE,
 };
-pub use shard::{FxBuildHasher, FxHashMap, ShardIndex};
 pub use snapshot::{Endpoint, SnapshotError};
 pub use tcp::{
     Bind, DeviceLink, DeviceLinkConfig, DeviceLinkReport, FrameStream, LinkConfig, StreamError,

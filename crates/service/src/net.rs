@@ -68,7 +68,7 @@ pub trait Transport {
     /// on the network by `now`, in delivery order (ties broken by send
     /// order), ahead of any envelopes already sitting in per-node
     /// inboxes (returned first, in node order). This is the batched
-    /// path the sharded service loop uses: one drain per tick instead
+    /// path the service loop uses: one drain per tick instead
     /// of one `poll` per device, so delivery cost is O(due frames)
     /// rather than O(fleet).
     fn drain_due(&mut self, now: u64) -> Vec<Envelope>;

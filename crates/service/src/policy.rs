@@ -62,8 +62,8 @@ impl Policy {
 }
 
 /// Deterministic backoff jitter in `0..=max`, keyed by `(name,
-/// attempt)` — no shared RNG, so parallel workers and separate
-/// processes compute the same value, yet two peers recovering from the
+/// attempt)` — no shared RNG, so separate processes (and a restored
+/// service) compute the same value, yet two peers recovering from the
 /// same outage land on different retry schedules instead of a
 /// synchronized storm. `max == 0` disables jitter (and keeps historical
 /// schedules byte-identical).

@@ -16,9 +16,9 @@
 //!
 //! # Why a unanimous honest quorum is silent
 //!
-//! The determinism contract says any `(verifiers, shards, workers)`
-//! geometry must yield byte-identical evidence heads against the
-//! single-verifier baseline when the quorum is honest. So agreement
+//! The determinism contract says any verifier count must yield
+//! byte-identical evidence heads against the single-verifier baseline
+//! when the quorum is honest. So agreement
 //! appends nothing: no events, no evidence, only counters inside the
 //! set itself. Disagreement is what gets recorded — a
 //! `QuorumDisputed` event, a `VerifierSuspected` flag per dissenting

@@ -11,7 +11,7 @@
 //!
 //! The plan is a pure function: device `d` is covered in epoch `e` iff
 //! `splitmix(seed, e, fnv(d)) mod 1000 < coverage_per_mille`. Every
-//! verifier replica, worker thread, and restarted process computes the
+//! verifier replica and restarted process computes the
 //! same plan from the same `(seed, epoch, name)` — no shared RNG, no
 //! coordination, and the same determinism story as
 //! [`crate::policy::seeded_jitter`]. Per-device draws are independent

@@ -20,37 +20,32 @@
 //! re-attestation) rather than ticking one unit at a time, the same
 //! stall-skipping idea the simulator core uses.
 //!
-//! # The sharded event loop
+//! # The event loop
 //!
 //! The original engine scanned the whole roster four times per step
 //! (inbox pump, verdicts, deadlines, due rounds) — O(fleet) per step,
 //! which capped the control plane at a handful of devices. The engine
-//! now runs in three stages per step:
+//! now runs in three stages per step, all on the caller's thread:
 //!
 //! 1. **Intake** — one batched [`Transport::drain_due`] empties the
 //!    network of everything due at the current tick, and a hierarchical
 //!    [`TimerWheel`] pops every due re-attestation, deadline, and
 //!    freshness timer. Both are O(due events), not O(fleet): idle
 //!    devices cost nothing. Routing a frame to its device is one
-//!    [`ShardIndex`] lookup (FxHash, O(1)) instead of a roster scan.
+//!    `NodeId → slot` map lookup (FxHash, O(1)) instead of a roster
+//!    scan.
 //! 2. **Units** — each device touched this tick gets one *work unit*
 //!    that runs its per-device phases in the canonical order (inbound
 //!    frames, response verdicts, deadline expiry, due round start)
 //!    against its live state, buffering every externally visible effect
-//!    (events, sends, timer requests). Units for different devices are
-//!    independent, so with `workers > 0` they fan out across a
-//!    persistent [`sage_vf::ReplayPool`] — one claim-loop job per
-//!    shard, work-stolen by whichever worker is free — while
-//!    per-device ordering stays sequential by construction.
-//! 3. **Merge** — buffered effects are applied in exactly the order the
-//!    sequential engine produced them: device replies in roster order,
-//!    verdicts in global arrival order (each response is seq-stamped at
-//!    intake), deadline expiries and round starts in roster order, then
-//!    epoch seals and freshness transitions. The merge is where the
-//!    headline guarantee lives: for *any* shard/worker count the event
-//!    history, evidence chains, and snapshots are byte-identical to the
-//!    single-threaded run, because nothing nondeterministic (thread
-//!    interleaving) ever reaches shared state.
+//!    (events, sends, timer requests). Units run inline, one device
+//!    after another.
+//! 3. **Merge** — buffered effects are applied in one canonical order:
+//!    device replies in roster order, verdicts in global arrival order
+//!    (each response is seq-stamped at intake), deadline expiries and
+//!    round starts in roster order, then epoch seals and freshness
+//!    transitions. That order, not the order units ran in, fixes the
+//!    event history, the evidence chains and the snapshot bytes.
 //!
 //! Timer cancellation is lazy: a stale wheel entry (the round it was
 //! armed for already resolved) pops as a no-op because every fire is
@@ -71,15 +66,14 @@ use sage_evidence::{
 };
 use sage_sgx_sim::Enclave;
 use sage_telemetry::Registry;
-use sage_vf::ReplayPool;
 
 use crate::events::{EventKind, EventLog, FailReason};
+use crate::fx::FxHashMap;
 use crate::net::{Envelope, NodeId, Transport};
 use crate::node::DeviceNode;
 use crate::policy::{seeded_jitter, Policy};
 use crate::quorum::{QuorumConfig, VerifierSet};
 use crate::sampling::SamplingConfig;
-use crate::shard::{FxHashMap, ShardIndex};
 use crate::wheel::TimerWheel;
 use crate::wire::{self, Frame};
 
@@ -145,12 +139,6 @@ pub struct ServiceConfig {
     /// in generator order, so the consumed challenge sequence does not
     /// depend on thread scheduling. `0` refills synchronously on take.
     pub bank_workers: usize,
-    /// Rounds stocked into each joining device's bank *before* its
-    /// calibration, via the shared [`sage_vf::ReplayPool`] (one flat
-    /// `(round, block)` job list saturating the verifier host's cores).
-    /// `0` (the default) skips the explicit prefill; calibration then
-    /// warms the bank itself, one serial replay at a time.
-    pub prefill_rounds: usize,
     /// Virtual ticks between fleet evidence epochs: every interval, a
     /// Merkle root over all device chain heads is sealed and logged.
     /// `0` (the default) disables epoch sealing.
@@ -158,16 +146,12 @@ pub struct ServiceConfig {
     /// Freshness-driven trust decay. Disabled by default (devices never
     /// decay), preserving the historical lifecycle exactly.
     pub freshness: sage_evidence::FreshnessPolicy,
-    /// Routing-index partitions (clamped to ≥ 1). Shards are also the
-    /// unit of parallel work: each shard's due devices form one job on
-    /// the worker pool. `1` (the default) keeps the classic
-    /// single-partition layout.
+    /// Ignored: the service steps on one thread with one routing map.
+    /// The field stays only because the benchmark's workload table still
+    /// sets it; the next benchmark change deletes it.
     pub shards: usize,
-    /// Worker threads for per-device round execution. `0` (the
-    /// default) runs every work unit inline on the caller's thread.
-    /// Any value yields a byte-identical event history — the merge
-    /// stage serializes effects into the canonical order — so this is
-    /// purely a throughput knob. Workers only engage when `shards > 1`.
+    /// Ignored, like [`ServiceConfig::shards`], and kept for the same
+    /// reason.
     pub workers: usize,
     /// In-memory event-log bound: the log keeps at most this many most
     /// recent events (`0` = unbounded, the historical behavior).
@@ -211,7 +195,6 @@ impl Default for ServiceConfig {
             policy: Policy::default(),
             bank_capacity: 2,
             bank_workers: 1,
-            prefill_rounds: 0,
             epoch_interval: 0,
             freshness: sage_evidence::FreshnessPolicy::disabled(),
             shards: 1,
@@ -280,15 +263,6 @@ impl ManagedDevice {
     pub(crate) fn last_pass_at(&self) -> Option<u64> {
         self.evidence.as_ref().and_then(EvidenceChain::last_pass_at)
     }
-}
-
-// Work units for different devices run on pool threads; the disjoint
-// `&mut ManagedDevice` handout below is only sound if the payload is
-// thread-transferable.
-fn _assert_managed_device_is_send()
-where
-    ManagedDevice: Send,
-{
 }
 
 /// How many sealed epochs the service keeps, newest last. Older epochs
@@ -390,8 +364,7 @@ enum TimerReq {
 }
 
 /// A verdict to put to the verifier quorum's vote — buffered like
-/// events so ballots are tallied in canonical merge order regardless
-/// of the shard/worker geometry.
+/// events so ballots are tallied in canonical merge order.
 #[derive(Clone, Copy, Debug)]
 struct VoteReq {
     round: u64,
@@ -412,7 +385,6 @@ struct Effects {
 /// order.
 struct DevWork {
     slot: usize,
-    shard: usize,
     rpos: u32,
     /// Inbound frames for the device node, arrival order.
     frames: Vec<Envelope>,
@@ -437,26 +409,6 @@ struct DevEffects {
     start: Option<(Effects, Option<Envelope>)>,
 }
 
-/// A raw base pointer that asserts cross-thread disjoint access. Used
-/// to hand each pool job exclusive `&mut` access to its own shard's
-/// devices/works/output slots. Access goes through [`SendPtr::at`] so
-/// closures capture the wrapper (which is `Sync`), not the raw field.
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// # Safety
-    ///
-    /// The caller must guarantee `i` is in bounds of the underlying
-    /// allocation, the allocation outlives the use, and no other thread
-    /// touches element `i` concurrently.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn at(&self, i: usize) -> &mut T {
-        unsafe { &mut *self.0.add(i) }
-    }
-}
-
 /// The attestation control plane.
 pub struct AttestationService<T: Transport> {
     pub(crate) cfg: ServiceConfig,
@@ -469,7 +421,9 @@ pub struct AttestationService<T: Transport> {
     /// `roster`, not here.
     pub(crate) devices: Vec<ManagedDevice>,
     pub(crate) log: EventLog,
-    pub(crate) next_node: u16,
+    /// The next [`NodeId`] to hand out. Ids are never reused, and the
+    /// counter passes `u16::MAX` only to mark the id space exhausted.
+    pub(crate) next_node: u32,
     pub(crate) registry: Option<Registry>,
     /// The newest [`SEALED_EPOCHS_KEPT`] sealed fleet evidence epochs,
     /// oldest first. Only the newest keeps its leaves (see
@@ -482,8 +436,8 @@ pub struct AttestationService<T: Transport> {
     pub(crate) next_seal_at: Option<u64>,
     /// Due re-attestations, deadlines, and freshness boundaries.
     pub(crate) timers: TimerWheel<Timer>,
-    /// `NodeId → slot`, partitioned `fx_hash(node) % shards`.
-    pub(crate) index: ShardIndex,
+    /// `NodeId → slot`: routes every frame and link event.
+    pub(crate) by_node: FxHashMap<NodeId, u32>,
     /// `device name → slot` for by-name queries. The first device to
     /// join under a name keeps the entry; slots are append-only, so a
     /// device that leaves keeps it too.
@@ -495,9 +449,6 @@ pub struct AttestationService<T: Transport> {
     /// Per-slot scratch: the device's index into the current step's
     /// work list, `u32::MAX` when absent. Reset after every step.
     pub(crate) work_of: Vec<u32>,
-    /// Persistent worker pool for shard-parallel unit execution
-    /// (`cfg.workers > 0`).
-    pub(crate) pool: Option<ReplayPool>,
     /// Reused pop buffer for the timer wheel.
     pub(crate) timer_scratch: Vec<(u64, Timer)>,
     /// The verifier-replica quorum (`Some` iff `cfg.quorum.verifiers >
@@ -525,12 +476,11 @@ impl<T: Transport> AttestationService<T> {
             epoch_tree: EpochTree::new(&[]),
             next_seal_at: (cfg.epoch_interval > 0).then_some(cfg.epoch_interval),
             timers: TimerWheel::new(),
-            index: ShardIndex::new(cfg.shards),
+            by_node: FxHashMap::default(),
             by_name: FxHashMap::default(),
             roster: Vec::new(),
             roster_pos: Vec::new(),
             work_of: Vec::new(),
-            pool: (cfg.workers > 0).then(|| ReplayPool::new(cfg.workers)),
             timer_scratch: Vec::new(),
             quorum: VerifierSet::from_config(&cfg.quorum),
             archive: None,
@@ -692,46 +642,18 @@ impl<T: Transport> AttestationService<T> {
     /// `Quarantined` with the failure recorded, and the rest of the fleet
     /// keeps running — the graceful-degradation contract a long-running
     /// control plane needs.
+    ///
+    /// # Panics
+    ///
+    /// When the 65,535 node ids are spent (ids are never reused), before
+    /// anything is recorded.
     pub fn join(&mut self, mut member: FleetMember, enclave: Enclave) -> NodeId {
-        let id = NodeId(self.next_node);
-        self.next_node += 1;
-        let name = member.name.clone();
-        self.log.record(self.now, &name, EventKind::Joined);
-
-        let mut verifier =
-            Verifier::new(enclave, member.session.build().clone(), self.group.clone());
-        if self.cfg.bank_capacity > 0 {
-            // Fast path: precompute (challenges, expected) pairs off the
-            // round critical path. Enabled before calibration so the
-            // calibration replays already overlap the device runs.
-            verifier.enable_fast_path(sage_vf::BankConfig {
-                capacity: self.cfg.bank_capacity,
-                workers: self.cfg.bank_workers,
-            });
-            if self.cfg.prefill_rounds > 0 {
-                // Stock the bank through the shared replay pool before
-                // calibration starts, so the calibration loop draws
-                // precomputed pairs instead of replaying serially
-                // inline.
-                verifier.prefill_rounds(self.cfg.prefill_rounds);
-            }
-        }
-        if let Some(reg) = &self.registry {
-            verifier.attach_telemetry(reg);
-            member.session.dev.install_telemetry(reg);
-        }
-
-        let mut state = DeviceState::Enrolled;
-        let mut record_state = |log: &mut EventLog, now: u64, to: DeviceState| {
-            log.record(now, &name, EventKind::StateChanged { from: state, to });
-            state = to;
-        };
-
-        record_state(&mut self.log, self.now, DeviceState::Attesting);
+        let (id, mut verifier) = self.begin_enrollment(&mut member, enclave);
+        let name = &member.name;
         let outcome = match verifier.calibrate(&mut member.session, self.cfg.calibration_runs) {
             Err(_) => {
                 self.log
-                    .record(self.now, &name, EventKind::CalibrationFailed);
+                    .record(self.now, name, EventKind::CalibrationFailed);
                 None
             }
             Ok(_) => {
@@ -753,31 +675,83 @@ impl<T: Transport> AttestationService<T> {
                 {
                     Ok(o) if codec_ok => Some(o),
                     _ => {
-                        self.log.record(self.now, &name, EventKind::EstablishFailed);
+                        self.log.record(self.now, name, EventKind::EstablishFailed);
                         None
                     }
                 }
             }
         };
-        if outcome.is_none() {
-            record_state(&mut self.log, self.now, DeviceState::Quarantined);
-        }
-        self.admit_device(id, member, verifier, state, outcome)
+        self.admit_device(id, member, verifier, outcome)
     }
 
-    /// Installs a (possibly failed) enrollment as a managed device:
-    /// session key, evidence chain, roster slot, first-action timer.
-    /// Shared tail of the in-process [`AttestationService::join`] and
-    /// the socket-side `join_remote`.
+    /// The enrollment prologue both join paths share: allocates the
+    /// device's node id, logs the join, builds its verifier (challenge
+    /// bank and telemetry included) and moves it to `Attesting`.
+    fn begin_enrollment(
+        &mut self,
+        member: &mut FleetMember,
+        enclave: Enclave,
+    ) -> (NodeId, Verifier) {
+        // Never wraps: id 0 is the verifier's own address.
+        let id = u16::try_from(self.next_node)
+            .map(NodeId)
+            .expect("node id space exhausted: 65,535 devices have joined");
+        self.next_node += 1;
+        let name = &member.name;
+        self.log.record(self.now, name, EventKind::Joined);
+
+        let mut verifier =
+            Verifier::new(enclave, member.session.build().clone(), self.group.clone());
+        if self.cfg.bank_capacity > 0 {
+            // Fast path: precompute (challenges, expected) pairs off the
+            // round critical path. Enabled before calibration so the
+            // calibration replays already overlap the device runs.
+            verifier.enable_fast_path(sage_vf::BankConfig {
+                capacity: self.cfg.bank_capacity,
+                workers: self.cfg.bank_workers,
+            });
+        }
+        if let Some(reg) = &self.registry {
+            verifier.attach_telemetry(reg);
+            member.session.dev.install_telemetry(reg);
+        }
+        self.log.record(
+            self.now,
+            name,
+            EventKind::StateChanged {
+                from: DeviceState::Enrolled,
+                to: DeviceState::Attesting,
+            },
+        );
+        (id, verifier)
+    }
+
+    /// Installs an enrollment as a managed device: session key, evidence
+    /// chain, roster slot, first-action timer. A failed enrollment
+    /// (`outcome` is `None`) is admitted `Quarantined`. Shared tail of
+    /// the in-process [`AttestationService::join`] and the socket-side
+    /// `join_remote`.
     fn admit_device(
         &mut self,
         id: NodeId,
         member: FleetMember,
         verifier: Verifier,
-        state: DeviceState,
         outcome: Option<sage::verifier::AttestationOutcome>,
     ) -> NodeId {
         let name = member.name.clone();
+        let state = if outcome.is_some() {
+            DeviceState::Attesting
+        } else {
+            self.log.record(
+                self.now,
+                &name,
+                EventKind::StateChanged {
+                    from: DeviceState::Attesting,
+                    to: DeviceState::Quarantined,
+                },
+            );
+            DeviceState::Quarantined
+        };
         let next_action_at = outcome.is_some().then_some(self.now + 1);
         let mut node = DeviceNode::new(member, id);
         // An established key opens the device's evidence chain: its first
@@ -817,7 +791,7 @@ impl<T: Transport> AttestationService<T> {
             next_fresh_at: None,
             link_up: true,
         });
-        self.index.insert(id, slot);
+        self.by_node.insert(id, slot as u32);
         self.by_name.entry(name).or_insert(slot as u32);
         self.work_of.push(u32::MAX);
         self.insert_roster(slot);
@@ -926,18 +900,18 @@ impl<T: Transport> AttestationService<T> {
     }
 
     /// Rebuilds every piece of derived scheduling state — roster order,
-    /// routing and name indexes, per-step scratch, and the timer wheel —
+    /// node and name indexes, per-step scratch, and the timer wheel —
     /// from the devices' durable fields. The restore path calls this
     /// after reconstructing `devices`; the wheel itself is never
     /// snapshotted.
     pub(crate) fn rebuild_schedule(&mut self) {
         self.sort_roster();
         self.work_of = vec![u32::MAX; self.devices.len()];
-        self.index.clear();
+        self.by_node.clear();
         self.by_name.clear();
         self.timers = TimerWheel::new();
         for slot in 0..self.devices.len() {
-            self.index.insert(self.devices[slot].node.id, slot);
+            self.by_node.insert(self.devices[slot].node.id, slot as u32);
             self.by_name
                 .entry(self.devices[slot].node.member.name.clone())
                 .or_insert(slot as u32);
@@ -985,9 +959,8 @@ impl<T: Transport> AttestationService<T> {
     }
 
     /// Processes everything due at the current virtual time: batched
-    /// intake, per-device work units (pool-parallel when configured),
-    /// then the canonical-order merge. See the module docs for the
-    /// determinism argument.
+    /// intake, per-device work units, then the canonical-order merge.
+    /// See the module docs.
     fn step(&mut self) {
         let now = self.now;
 
@@ -1009,7 +982,6 @@ impl<T: Transport> AttestationService<T> {
                     self.work_of[slot] = works.len() as u32;
                     works.push(DevWork {
                         slot,
-                        shard: self.index.shard_of(self.devices[slot].node.id),
                         rpos: self.roster_pos[slot],
                         frames: Vec::new(),
                         responses: Vec::new(),
@@ -1019,17 +991,17 @@ impl<T: Transport> AttestationService<T> {
             }};
         }
 
-        // Frames route by one shard-map lookup; responses carry their
-        // global arrival seq so the merge can restore arrival order
-        // across devices. Unroutable frames (unknown node) are dropped,
-        // matching the sequential engine's fail-closed handling.
+        // Frames route by one map lookup; responses carry their global
+        // arrival seq so the merge can restore arrival order across
+        // devices. Unroutable frames (unknown node) are dropped: fail
+        // closed.
         for (seq, env) in arrivals.into_iter().enumerate() {
             if env.dst == VERIFIER_NODE {
-                if let Some(slot) = self.index.get(env.src) {
-                    work_for!(slot).responses.push((seq as u64, env));
+                if let Some(&slot) = self.by_node.get(&env.src) {
+                    work_for!(slot as usize).responses.push((seq as u64, env));
                 }
-            } else if let Some(slot) = self.index.get(env.dst) {
-                work_for!(slot).frames.push(env);
+            } else if let Some(&slot) = self.by_node.get(&env.dst) {
+                work_for!(slot as usize).frames.push(env);
             }
         }
         for &(_, timer) in &due {
@@ -1054,47 +1026,13 @@ impl<T: Transport> AttestationService<T> {
             self.work_of[w.slot] = u32::MAX;
         }
 
-        // ---- units: per-device phases, shard-parallel when pooled ----
-        let mut effs: Vec<DevEffects> = Vec::with_capacity(works.len());
-        let pooled = self.pool.is_some() && self.index.shards() > 1 && works.len() > 1;
-        if pooled {
-            let mut jobs: Vec<Vec<u32>> = vec![Vec::new(); self.index.shards()];
-            for (wi, w) in works.iter().enumerate() {
-                jobs[w.shard].push(wi as u32);
-            }
-            jobs.retain(|j| !j.is_empty());
-            let mut out: Vec<Option<DevEffects>> = works.iter().map(|_| None).collect();
-            {
-                let cfg = self.cfg;
-                let pool = self.pool.as_ref().expect("pooled implies pool");
-                let dev = SendPtr(self.devices.as_mut_ptr());
-                let wrk = SendPtr(works.as_mut_ptr());
-                let res = SendPtr(out.as_mut_ptr());
-                let jobs = &jobs;
-                pool.run_scoped(jobs.len(), &|j| {
-                    for &wi in &jobs[j] {
-                        // SAFETY: every work index appears in exactly one
-                        // job, every slot in at most one work unit (the
-                        // work_of dedup above), and out/works/devices
-                        // outlive the scoped run — so each access below
-                        // is the sole &mut to its element.
-                        unsafe {
-                            let w = wrk.at(wi as usize);
-                            let d = dev.at(w.slot);
-                            *res.at(wi as usize) = Some(run_unit(&cfg, now, d, w));
-                        }
-                    }
-                });
-            }
-            effs.extend(out.into_iter().map(|e| e.expect("every unit ran")));
-        } else {
-            for w in &mut works {
-                let d = &mut self.devices[w.slot];
-                effs.push(run_unit(&self.cfg, now, d, w));
-            }
-        }
+        // ---- units: per-device phases, one device at a time ----------
+        let mut effs: Vec<DevEffects> = works
+            .iter_mut()
+            .map(|w| run_unit(&self.cfg, now, &mut self.devices[w.slot], w))
+            .collect();
 
-        // ---- merge: apply effects in the sequential engine's order ---
+        // ---- merge: apply effects in the canonical order -------------
         effs.sort_unstable_by_key(|e| e.rpos);
 
         // Phase 1 — device replies, roster-major, frame order within a
@@ -1497,13 +1435,13 @@ impl<T: Transport> AttestationService<T> {
         for ev in self.net.take_link_events() {
             match ev {
                 crate::net::LinkEvent::Down(node) => {
-                    if let Some(slot) = self.index.get(node) {
-                        self.link_down(slot);
+                    if let Some(&slot) = self.by_node.get(&node) {
+                        self.link_down(slot as usize);
                     }
                 }
                 crate::net::LinkEvent::Resumed(node) => {
-                    if let Some(slot) = self.index.get(node) {
-                        self.link_resumed(slot);
+                    if let Some(&slot) = self.by_node.get(&node) {
+                        self.link_resumed(slot as usize);
                     }
                 }
             }
@@ -1578,38 +1516,18 @@ impl AttestationService<crate::tcp::TcpTransport> {
     /// connection and future reconnects resume against the SAKE session
     /// (no re-enrollment); on failure the device lands `Quarantined`
     /// and the connection is dropped.
+    ///
+    /// # Panics
+    ///
+    /// As [`AttestationService::join`], when the node ids are spent.
     pub fn join_remote(
         &mut self,
         mut twin: FleetMember,
         enclave: Enclave,
         mut stream: crate::tcp::FrameStream,
     ) -> NodeId {
-        let id = NodeId(self.next_node);
-        self.next_node += 1;
+        let (id, mut verifier) = self.begin_enrollment(&mut twin, enclave);
         let name = twin.name.clone();
-        self.log.record(self.now, &name, EventKind::Joined);
-
-        let mut verifier = Verifier::new(enclave, twin.session.build().clone(), self.group.clone());
-        if self.cfg.bank_capacity > 0 {
-            verifier.enable_fast_path(sage_vf::BankConfig {
-                capacity: self.cfg.bank_capacity,
-                workers: self.cfg.bank_workers,
-            });
-            if self.cfg.prefill_rounds > 0 {
-                verifier.prefill_rounds(self.cfg.prefill_rounds);
-            }
-        }
-        if let Some(reg) = &self.registry {
-            verifier.attach_telemetry(reg);
-            twin.session.dev.install_telemetry(reg);
-        }
-
-        let mut state = DeviceState::Enrolled;
-        let mut record_state = |log: &mut EventLog, now: u64, to: DeviceState| {
-            log.record(now, &name, EventKind::StateChanged { from: state, to });
-            state = to;
-        };
-        record_state(&mut self.log, self.now, DeviceState::Attesting);
 
         // One wall budget covers the whole exchange; a stalled or
         // severed link fails the enrollment instead of hanging the
@@ -1686,19 +1604,15 @@ impl AttestationService<crate::tcp::TcpTransport> {
                     stream,
                 );
             }
-            None => {
-                record_state(&mut self.log, self.now, DeviceState::Quarantined);
-                stream.conn().shutdown();
-            }
+            None => stream.conn().shutdown(),
         }
-        self.admit_device(id, twin, verifier, state, outcome)
+        self.admit_device(id, twin, verifier, outcome)
     }
 }
 
 /// Runs one device's due work in the canonical per-device phase order,
-/// mutating only that device and buffering every global effect. Runs on
-/// a pool thread when workers are configured — nothing here may touch
-/// shared service state.
+/// mutating only that device and buffering every global effect for the
+/// merge.
 fn run_unit(cfg: &ServiceConfig, now: u64, d: &mut ManagedDevice, w: &mut DevWork) -> DevEffects {
     let mut eff = DevEffects {
         slot: w.slot,
@@ -1760,8 +1674,7 @@ fn run_unit(cfg: &ServiceConfig, now: u64, d: &mut ManagedDevice, w: &mut DevWor
         }
     }
     // Phase d — due round start, again on live state (a zero-backoff
-    // restart in phase b/c cascades into a same-step start, exactly as
-    // the sequential engine's phase ordering produced).
+    // restart in phase b/c cascades into a same-step start).
     if d.next_action_at.is_some_and(|t| t <= now) {
         let mut fx = Effects::default();
         let env = core_start_round(cfg, now, d, &mut fx);
@@ -2019,14 +1932,15 @@ fn core_start_round(
     ) {
         return None;
     }
-    let threshold = d.verifier.threshold()?; // uncalibrated devices never get here (join quarantines them)
-                                             // Spot-check sampling: a `Trusted` device outside this epoch's
-                                             // seeded plan sleeps to the next epoch boundary instead of
-                                             // attesting. Only `Trusted` devices are skippable — `Attesting`
-                                             // and `Degraded` devices are under investigation and always
-                                             // attest, so a suspect cannot hide behind the sampler. The rule is
-                                             // a pure function of `(seed, epoch, name)`, so every shard/worker
-                                             // geometry (and every verifier replica) draws the same plan.
+    // Uncalibrated devices never get here (join quarantines them).
+    let threshold = d.verifier.threshold()?;
+    // Spot-check sampling: a `Trusted` device outside this epoch's
+    // seeded plan sleeps to the next epoch boundary instead of
+    // attesting. Only `Trusted` devices are skippable — `Attesting` and
+    // `Degraded` devices are under investigation and always attest, so
+    // a suspect cannot hide behind the sampler. The rule is a pure
+    // function of `(seed, epoch, name)`, so every verifier replica draws
+    // the same plan.
     if cfg.sampling.is_active() && cfg.epoch_interval > 0 && d.state == DeviceState::Trusted {
         let epoch = now / cfg.epoch_interval;
         if !crate::sampling::covers(&cfg.sampling, epoch, &d.node.member.name) {
@@ -2121,5 +2035,86 @@ fn schedule_freshness(cfg: &ServiceConfig, now: u64, d: &mut ManagedDevice, fx: 
             }
         }
         None => d.next_fresh_at = None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::{LinkProfile, SimNet};
+    use sage::agent::DeviceAgent;
+    use sage_crypto::EntropySource;
+    use sage_gpu_sim::{Device, DeviceConfig};
+    use sage_sgx_sim::SgxPlatform;
+    use sage_vf::VfParams;
+
+    fn entropy(seed: u8) -> impl EntropySource {
+        let mut state = seed;
+        move |buf: &mut [u8]| {
+            for b in buf {
+                state = state.wrapping_mul(181).wrapping_add(101);
+                *b = state;
+            }
+        }
+    }
+
+    fn modeled(index: u8) -> (FleetMember, Enclave) {
+        let session = GpuSession::install_modeled(
+            Device::new(DeviceConfig::sim_nano()),
+            &VfParams::fleet_tiny(),
+            0xF1EE7,
+            10_000,
+        )
+        .expect("install modeled VF");
+        let mut m = FleetMember::new(session, DeviceAgent::new(Box::new(entropy(index | 1))));
+        m.name = format!("gpu-{index}");
+        let enclave = SgxPlatform::new([7u8; 16]).launch(b"ids", &mut entropy(index | 3));
+        (m, enclave)
+    }
+
+    #[test]
+    fn node_ids_stop_at_the_top_of_the_id_space_instead_of_wrapping() {
+        let cfg = ServiceConfig {
+            reattest_interval: 10_000,
+            bank_capacity: 0,
+            ..ServiceConfig::default()
+        };
+        let net = SimNet::new(5, LinkProfile::default());
+        let mut svc = AttestationService::new(cfg, DhGroup::test_group(), net);
+        // 65,533 lifetime joins already spent.
+        svc.next_node = 65_534;
+        let ids: Vec<NodeId> = (0..2)
+            .map(|i| {
+                let (m, e) = modeled(i);
+                svc.join(m, e)
+            })
+            .collect();
+        assert_eq!(ids, [NodeId(65_534), NodeId(65_535)]);
+        // Frames route at the top of the id space: both devices attest.
+        svc.run_for(50_000);
+        for s in svc.statuses() {
+            assert_eq!(s.state, DeviceState::Trusted, "{}", s.name);
+            assert!(s.rounds_passed > 0, "{}", s.name);
+        }
+
+        // A snapshot carries the ids and the spent counter across a
+        // restart.
+        let snap = svc.snapshot();
+        let (net, eps) = svc.into_endpoints();
+        let mut svc = AttestationService::restore(cfg, DhGroup::test_group(), net, &snap, eps)
+            .expect("snapshot restores");
+        let mut restored: Vec<NodeId> = svc.statuses().iter().map(|s| s.node).collect();
+        restored.sort();
+        assert_eq!(restored, ids);
+        assert_eq!(svc.next_node, 65_536);
+
+        // The next join is refused before it records anything, never
+        // handed the verifier's address.
+        let events = svc.log().events().len();
+        let (m, e) = modeled(2);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.join(m, e)));
+        assert!(refused.is_err(), "a join past the id space must not wrap");
+        assert_eq!(svc.log().events().len(), events);
+        assert!(svc.statuses().iter().all(|s| s.node != VERIFIER_NODE));
     }
 }

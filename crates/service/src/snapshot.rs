@@ -25,11 +25,10 @@ use sage_evidence::chain::{decode_records, encode_records};
 use sage_evidence::merkle::{EpochLeaf, EpochTree};
 use sage_evidence::record::EvidenceRecord;
 use sage_evidence::{derive_evidence_key, ChainAnchor, EvidenceChain, Freshness};
-
-use sage_vf::ReplayPool;
 use std::collections::VecDeque;
 
 use crate::events::{Event, EventKind, EventLog, FailReason, Tally};
+use crate::fx::FxHashMap;
 use crate::net::{NodeId, Transport};
 use crate::node::DeviceNode;
 use crate::quorum::{VerifierBehavior, VerifierSet};
@@ -37,7 +36,6 @@ use crate::service::{
     AttestationService, DeviceState, ManagedDevice, Outstanding, SealedEpoch, ServiceConfig,
     SEALED_EPOCHS_KEPT,
 };
-use crate::shard::{FxHashMap, ShardIndex};
 use crate::wheel::TimerWheel;
 
 /// Snapshot magic: "SAGE snap".
@@ -56,8 +54,10 @@ const MAGIC: u32 = 0x5A6E_A950;
 /// that point) plus the records after it, in place of the whole chain
 /// and a separate freshness anchor. Version 7 carries the event log's
 /// tally (failures by reason, freshness changes by level) in place of
-/// the counters block, and each passed round's dispatch time.
-const VERSION: u16 = 7;
+/// the counters block, and each passed round's dispatch time. Version 8
+/// widens the node-id counter to `u32`, so a spent id space (the counter
+/// past `u16::MAX`) survives a restart.
+const VERSION: u16 = 8;
 
 /// Why a snapshot could not be decoded or re-married to its endpoints.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -257,7 +257,7 @@ pub(crate) fn encode<T: Transport>(svc: &AttestationService<T>) -> Vec<u8> {
     put_u32(&mut out, MAGIC);
     put_u16(&mut out, VERSION);
     put_u64(&mut out, svc.now);
-    put_u16(&mut out, svc.next_node);
+    put_u32(&mut out, svc.next_node);
     put_u32(&mut out, svc.devices.len() as u32);
     for d in &svc.devices {
         put_str(&mut out, &d.node.member.name);
@@ -537,7 +537,7 @@ struct QuorumRecord {
 
 struct Decoded {
     now: u64,
-    next_node: u16,
+    next_node: u32,
     devices: Vec<DeviceRecord>,
     next_seal_at: Option<u64>,
     sealed_epochs: Vec<SealedEpoch>,
@@ -557,7 +557,7 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
         return Err(SnapshotError::BadVersion(version));
     }
     let now = r.u64()?;
-    let next_node = r.u16()?;
+    let next_node = r.u32()?;
     let n_devices = r.u32()? as usize;
     let mut devices = Vec::new();
     for _ in 0..n_devices {
@@ -878,12 +878,10 @@ pub(crate) fn restore<T: Transport>(
         return Err(SnapshotError::UnknownDevice(extra.node.member.name.clone()));
     }
     // Every scheduling structure below `devices` — roster order, the
-    // node→slot routing index, the timer wheel, worker scratch — is
-    // derived state: it is rebuilt from the durable per-device fields
-    // rather than snapshotted, so the restored wheel is exactly the
-    // wheel a crash-free run would hold at `now`.
-    let index = ShardIndex::new(cfg.shards);
-    let worker_pool = (cfg.workers > 0).then(|| ReplayPool::new(cfg.workers));
+    // node and name indexes, the timer wheel, step scratch — is derived
+    // state: it is rebuilt from the durable per-device fields rather
+    // than snapshotted, so the restored wheel is exactly the wheel a
+    // crash-free run would hold at `now`.
     let log = EventLog::restore_parts(
         decoded.events,
         decoded.tally,
@@ -917,12 +915,11 @@ pub(crate) fn restore<T: Transport>(
         epoch_tree,
         next_seal_at: decoded.next_seal_at,
         timers: TimerWheel::new(),
-        index,
+        by_node: FxHashMap::default(),
         by_name: FxHashMap::default(),
         roster: Vec::new(),
         roster_pos: Vec::new(),
         work_of: Vec::new(),
-        pool: worker_pool,
         timer_scratch: Vec::new(),
         quorum,
         archive: None,
@@ -1020,7 +1017,7 @@ mod tests {
         put_u32(&mut out, MAGIC);
         put_u16(&mut out, VERSION);
         put_u64(&mut out, 1234);
-        put_u16(&mut out, 7);
+        put_u32(&mut out, 7);
         put_u32(&mut out, 0); // devices
         out.push(0); // next_seal_at
         put_u32(&mut out, 0); // sealed epochs

@@ -578,7 +578,6 @@ fn honest_fleet_report(bank_capacity: usize, expected_path: EvidencePath) -> Hon
         policy: Policy::default(),
         bank_capacity,
         bank_workers: 0,
-        prefill_rounds: 0,
         epoch_interval: 30_000,
         freshness: FreshnessPolicy {
             stale_after: 60_000,

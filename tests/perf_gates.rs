@@ -68,8 +68,7 @@ fn seconds(f: impl FnOnce()) -> f64 {
 
 /// Ten thousand modeled devices through three rounds each must sustain
 /// `100k × min(1, cores/8)` rounds/s of steady-state control plane:
-/// timer wheel, shard routing, verdicts, evidence, epoch seals and
-/// telemetry.
+/// timer wheel, routing, verdicts, evidence, epoch seals and telemetry.
 #[test]
 #[ignore = "timing gate: run in --release from ci.sh"]
 fn fleet_of_10k_modeled_devices_meets_the_rounds_per_sec_floor() {
@@ -87,8 +86,6 @@ fn fleet_of_10k_modeled_devices_meets_the_rounds_per_sec_floor() {
         },
     );
     let cfg = ServiceConfig {
-        shards: cores().clamp(1, 16),
-        workers: cores() - 1,
         // At fleet scale the full history would be hundreds of MiB.
         event_capacity: 65_536,
         // No challenge bank: modeled replays cost microseconds, while a

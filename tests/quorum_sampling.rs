@@ -5,10 +5,9 @@
 //!
 //! 1. **Honest-unanimous silence.** An all-honest verifier quorum
 //!    appends nothing — no dispute events, no vote evidence — so for
-//!    any `(verifiers, shards, workers)` geometry the fleet's evidence
-//!    chain heads and event history are byte-identical to the
-//!    single-verifier baseline. Replication is a trust knob, not a
-//!    behavior knob.
+//!    any verifier count the fleet's evidence chain heads and event
+//!    history are byte-identical to the single-verifier baseline.
+//!    Replication is a trust knob, not a behavior knob.
 //!
 //! 2. **The closed-form detection model.** The seeded spot-check plan
 //!    covers each device independently per epoch with probability `c`,
@@ -57,12 +56,7 @@ fn enclave(index: usize, seed: u64) -> Enclave {
     SgxPlatform::new([7u8; 16]).launch(b"quorum-verifier", &mut entropy(enclave_seed))
 }
 
-fn config(
-    verifiers: u16,
-    shards: usize,
-    workers: usize,
-    sampling: SamplingConfig,
-) -> ServiceConfig {
+fn config(verifiers: u16, sampling: SamplingConfig) -> ServiceConfig {
     ServiceConfig {
         reattest_interval: 10_000,
         epoch_interval: 30_000,
@@ -70,8 +64,6 @@ fn config(
             stale_after: 25_000,
             degraded_after: 50_000,
         },
-        shards,
-        workers,
         quorum: QuorumConfig {
             verifiers,
             seed: 0x51D,
@@ -103,7 +95,6 @@ fn build_fleet(cfg: ServiceConfig, seed: u64) -> AttestationService<SimNet> {
 struct History {
     heads: Vec<(String, [u8; 32], u64)>,
     events_json: String,
-    snapshot: Vec<u8>,
 }
 
 fn run_history(cfg: ServiceConfig, seed: u64) -> History {
@@ -119,52 +110,34 @@ fn run_history(cfg: ServiceConfig, seed: u64) -> History {
     History {
         heads,
         events_json: svc.log().to_json(),
-        snapshot: svc.snapshot(),
     }
 }
 
-/// The tentpole determinism contract: any `(verifiers, shards, workers)`
-/// geometry yields byte-identical evidence heads and event history vs
-/// the single-verifier baseline when the quorum is honest and unanimous.
-/// (Snapshot bytes are compared across *geometry* at fixed N — the
-/// snapshot necessarily encodes the replica set itself, so it is the
+/// The determinism contract: any verifier count yields byte-identical
+/// evidence heads and event history vs the single-verifier baseline
+/// when the quorum is honest and unanimous. (Snapshot bytes are not
+/// compared: the snapshot encodes the replica set itself, so it is the
 /// one artifact allowed to differ across N.)
 #[test]
 fn honest_unanimous_quorum_replays_the_single_verifier_history() {
     for seed in [1u64, 2] {
-        let base = run_history(config(1, 1, 0, SamplingConfig::default()), seed);
+        let base = run_history(config(1, SamplingConfig::default()), seed);
         assert!(!base.heads.is_empty(), "baseline produced no chains");
         for verifiers in [3u16, 5, 7] {
-            let mut per_n: Option<History> = None;
-            for (shards, workers) in [(1usize, 0usize), (4, 2), (16, 8)] {
-                let got = run_history(
-                    config(verifiers, shards, workers, SamplingConfig::default()),
-                    seed,
-                );
-                let label = format!(
-                    "seed {seed}, verifiers {verifiers}, shards {shards}, workers {workers}"
-                );
-                assert_eq!(base.heads, got.heads, "{label}: evidence heads diverged");
-                assert_eq!(
-                    base.events_json, got.events_json,
-                    "{label}: event history diverged"
-                );
-                match &per_n {
-                    None => per_n = Some(got),
-                    Some(first) => assert_eq!(
-                        first.snapshot, got.snapshot,
-                        "{label}: snapshot bytes diverged across geometry"
-                    ),
-                }
-            }
+            let got = run_history(config(verifiers, SamplingConfig::default()), seed);
+            let label = format!("seed {seed}, verifiers {verifiers}");
+            assert_eq!(base.heads, got.heads, "{label}: evidence heads diverged");
+            assert_eq!(
+                base.events_json, got.events_json,
+                "{label}: event history diverged"
+            );
         }
     }
 }
 
 /// Sampling is a pure function of `(seed, epoch, device)`, so an active
-/// sampler is just as geometry-independent: every shard/worker cell
-/// (and every honest quorum size) replays the sampled baseline exactly,
-/// skips included.
+/// sampler is just as independent of the quorum geometry: every honest
+/// quorum size replays the sampled baseline exactly, skips included.
 #[test]
 fn sampled_fleet_history_is_geometry_independent() {
     let sampling = SamplingConfig {
@@ -172,17 +145,14 @@ fn sampled_fleet_history_is_geometry_independent() {
         seed: 0xC0FFEE,
     };
     for seed in [1u64, 2] {
-        let base = run_history(config(1, 1, 0, sampling), seed);
+        let base = run_history(config(1, sampling), seed);
         assert!(
             base.events_json.contains("spotcheck_skipped"),
             "the sampled baseline must actually skip epochs"
         );
-        for (verifiers, shards, workers) in
-            [(1u16, 4usize, 2usize), (1, 16, 8), (3, 4, 2), (5, 16, 8)]
-        {
-            let got = run_history(config(verifiers, shards, workers, sampling), seed);
-            let label =
-                format!("seed {seed}, verifiers {verifiers}, shards {shards}, workers {workers}");
+        for verifiers in [3u16, 5] {
+            let got = run_history(config(verifiers, sampling), seed);
+            let label = format!("seed {seed}, verifiers {verifiers}");
             assert_eq!(base.heads, got.heads, "{label}: evidence heads diverged");
             assert_eq!(
                 base.events_json, got.events_json,

@@ -284,12 +284,12 @@ fn enrollment_failure_quarantines_without_stopping_the_service() {
     assert_eq!(good.state_of("gpu-y"), Some(DeviceState::Trusted));
 }
 
-/// A fleet whose banks are stocked through the pooled prefill before
-/// calibration, with no refill thread: every device converges to
-/// `Trusted` within `4r + 8` re-attest windows, and the telemetry
-/// attached before the first join agrees with the event log's books.
+/// A fleet whose challenge banks have no refill thread, so every take
+/// computes its pair inline: every device converges to `Trusted` within
+/// `4r + 8` re-attest windows, and the telemetry attached before the
+/// first join agrees with the event log's books.
 #[test]
-fn prefilled_fleet_converges_and_telemetry_matches_the_log() {
+fn threadless_bank_fleet_converges_and_telemetry_matches_the_log() {
     const DEVICES: usize = 2;
     const ROUNDS: u64 = 2;
     let mut cfg = ServiceConfig {
@@ -297,7 +297,6 @@ fn prefilled_fleet_converges_and_telemetry_matches_the_log() {
         ..ServiceConfig::default()
     };
     cfg.bank_capacity = cfg.calibration_runs + 2;
-    cfg.prefill_rounds = cfg.bank_capacity;
     let net = SimNet::new(
         7,
         LinkProfile {

@@ -13,11 +13,11 @@
 //!    costs the device `Trusted` for exactly the backoff window and then
 //!    reconverges; a persistent corruption burns the wrong-value budget
 //!    into `Quarantined`; neither ever produces a false accept.
-//! 4. **Evidence survives the crash** — a snapshot taken mid-epoch
-//!    carries every device's chain head byte-identically across the
-//!    restore, and the next sealed epoch root matches the uninterrupted
-//!    twin bit for bit; a newest-epoch leaf that no longer re-hashes to
-//!    its recorded root is refused.
+//! 4. **Evidence survives the crash** — a snapshot taken mid-epoch, with
+//!    rounds outstanding, carries every device's chain head
+//!    byte-identically across the restore, and the next sealed epoch
+//!    root matches the uninterrupted twin bit for bit; a newest-epoch
+//!    leaf that no longer re-hashes to its recorded root is refused.
 
 use sage_repro::core::{agent::DeviceAgent, multi::FleetMember, GpuSession};
 use sage_repro::crypto::{DhGroup, EntropySource};
@@ -276,79 +276,147 @@ fn evidence_fleet(seed: u64) -> AttestationService<SimNet> {
     svc
 }
 
+/// Twelve modeled devices attesting every 10k ticks under 30k epochs: a
+/// crash at 44k lands mid-epoch with rounds outstanding on a fleet wider
+/// than two.
+fn modeled_evidence_cfg() -> ServiceConfig {
+    ServiceConfig {
+        reattest_interval: 10_000,
+        epoch_interval: 30_000,
+        freshness: FreshnessPolicy {
+            stale_after: 25_000,
+            degraded_after: 50_000,
+        },
+        ..ServiceConfig::default()
+    }
+}
+
+fn modeled_evidence_fleet(seed: u64) -> AttestationService<SimNet> {
+    let net = SimNet::new(
+        seed,
+        LinkProfile {
+            latency: 100,
+            jitter: 25,
+            drop_per_mille: 0,
+            dup_per_mille: 0,
+        },
+    );
+    let mut svc = AttestationService::new(modeled_evidence_cfg(), DhGroup::test_group(), net);
+    for i in 0..12 {
+        svc.join(modeled_member(i), enclave(i as u8 | 1));
+    }
+    svc
+}
+
 #[test]
 fn mid_epoch_crash_preserves_chain_heads_and_epoch_roots() {
-    for seed in [51u64, 52] {
-        // Crash inside the second epoch: after the 60k seal, before the
-        // 120k one, with evidence appended since the seal.
-        let crash_at = 90_000;
-        let end_at = 250_000;
+    // Each fleet crashes inside its second epoch: after the first seal,
+    // before the next, with evidence appended since the seal. The
+    // modeled fleet also has rounds in flight at the crash.
+    // (fleet, config, seeds, crash at, horizon, rounds in flight)
+    type Case = (
+        fn(u64) -> AttestationService<SimNet>,
+        ServiceConfig,
+        &'static [u64],
+        u64,
+        u64,
+        bool,
+    );
+    let cases: [Case; 2] = [
+        (
+            evidence_fleet,
+            evidence_cfg(),
+            &[51, 52],
+            90_000,
+            250_000,
+            false,
+        ),
+        (
+            modeled_evidence_fleet,
+            modeled_evidence_cfg(),
+            &[1, 2, 3],
+            44_000,
+            120_000,
+            true,
+        ),
+    ];
+    for (fleet, cfg, seeds, crash_at, end_at, in_flight) in cases {
+        for &seed in seeds {
+            // Universe A: never crashes.
+            let mut a = fleet(seed);
+            a.run_until(end_at);
 
-        // Universe A: never crashes.
-        let mut a = evidence_fleet(seed);
-        a.run_until(end_at);
-
-        // Universe B: crashes mid-epoch and restores from the snapshot.
-        let mut b = evidence_fleet(seed);
-        b.run_until(crash_at);
-        assert_eq!(
-            b.sealed_epochs().len(),
-            1,
-            "seed {seed}: the crash point must be mid-epoch, one seal in"
-        );
-        let heads: Vec<(&str, [u8; 32], u64)> = ["gpu-a", "gpu-b"]
-            .iter()
-            .map(|n| {
-                let c = b.evidence_of(n).expect("chain established");
-                assert!(
-                    c.seq() > b.sealed_epochs()[0].leaves[0].seq,
-                    "seed {seed}: {n} must have evidence newer than the seal"
-                );
-                (*n, c.head(), c.seq())
-            })
-            .collect();
-        let snap = b.snapshot();
-        let (net, eps) = b.into_endpoints(); // control plane dies here
-        let mut b =
-            AttestationService::restore(evidence_cfg(), DhGroup::test_group(), net, &snap, eps)
+            // Universe B: crashes mid-epoch and restores from the snapshot.
+            let mut b = fleet(seed);
+            b.run_until(crash_at);
+            assert_eq!(
+                b.sealed_epochs().len(),
+                1,
+                "seed {seed}: the crash point must be mid-epoch, one seal in"
+            );
+            assert!(
+                !in_flight || b.outstanding_rounds() > 0,
+                "seed {seed}: the crash must leave rounds outstanding"
+            );
+            let sealed = &b.sealed_epochs()[0].leaves;
+            let heads: Vec<(String, [u8; 32], u64)> = b
+                .statuses()
+                .into_iter()
+                .map(|s| {
+                    let c = b.evidence_of(&s.name).expect("chain established");
+                    let leaf = sealed.iter().find(|l| l.device == s.name).unwrap();
+                    assert!(
+                        c.seq() > leaf.seq,
+                        "seed {seed}: {} must have evidence newer than the seal",
+                        s.name
+                    );
+                    (s.name, c.head(), c.seq())
+                })
+                .collect();
+            let snap = b.snapshot();
+            let (net, eps) = b.into_endpoints(); // control plane dies here
+            let mut b = AttestationService::restore(cfg, DhGroup::test_group(), net, &snap, eps)
                 .expect("mid-epoch snapshot restores");
 
-        // Chain heads cross the crash byte-identically.
-        for (name, head, seq) in &heads {
-            let c = b.evidence_of(name).expect("chain restored");
-            assert_eq!(
-                c.head(),
-                *head,
-                "seed {seed}: {name} chain head changed across restore"
+            // Chain heads cross the crash byte-identically.
+            for (name, head, seq) in &heads {
+                let c = b.evidence_of(name).expect("chain restored");
+                assert_eq!(
+                    c.head(),
+                    *head,
+                    "seed {seed}: {name} chain head changed across restore"
+                );
+                assert_eq!(c.seq(), *seq, "seed {seed}: {name} chain length changed");
+            }
+
+            b.run_until(end_at);
+
+            // The next sealed root (and every one after) is bit-identical
+            // to the uninterrupted twin's.
+            assert!(
+                a.sealed_epochs().iter().any(|e| e.at > crash_at),
+                "seed {seed}: horizon must seal an epoch after the crash point"
             );
-            assert_eq!(c.seq(), *seq, "seed {seed}: {name} chain length changed");
+            assert_eq!(
+                a.sealed_epochs(),
+                b.sealed_epochs(),
+                "seed {seed}: sealed epochs diverged across the crash"
+            );
+            assert_eq!(
+                a.snapshot(),
+                b.snapshot(),
+                "seed {seed}: binary state diverged after mid-epoch crash"
+            );
+
+            // And the restored control plane still mints verifiable
+            // reports.
+            let name = &heads[0].0;
+            let report = b.report_for(name).expect("epoch sealed with the device");
+            let root = b.sealed_epochs().last().unwrap().root;
+            let key = b.evidence_key_of(name).unwrap();
+            verify_report(&report, &root, &key, b.now())
+                .expect("post-restore report verifies standalone");
         }
-
-        b.run_until(end_at);
-
-        // The next sealed root (and every one after) is bit-identical to
-        // the uninterrupted twin's.
-        assert!(
-            a.sealed_epochs().iter().any(|e| e.at > crash_at),
-            "seed {seed}: horizon must seal an epoch after the crash point"
-        );
-        assert_eq!(
-            a.sealed_epochs(),
-            b.sealed_epochs(),
-            "seed {seed}: sealed epochs diverged across the crash"
-        );
-        assert_eq!(
-            a.snapshot(),
-            b.snapshot(),
-            "seed {seed}: binary state diverged after mid-epoch crash"
-        );
-
-        // And the restored control plane still mints verifiable reports.
-        let report = b.report_for("gpu-a").expect("epoch sealed with gpu-a");
-        let root = b.sealed_epochs().last().unwrap().root;
-        let key = b.evidence_key_of("gpu-a").unwrap();
-        verify_report(&report, &root, &key, b.now())
-            .expect("post-restore report verifies standalone");
     }
 }
 

@@ -74,7 +74,6 @@ fn deterministic_registry() -> Registry {
         // challenge sequence — and with it every counter and histogram
         // below — is a pure function of the seeds.
         bank_workers: 0,
-        prefill_rounds: 0,
         ..ServiceConfig::default()
     };
     let reg = Registry::new();
