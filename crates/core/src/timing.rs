@@ -6,6 +6,8 @@
 //! distributed runtimes the false-positive probability is ≈ 0.5%, "in
 //! which case the verification process is restarted".
 
+use sage_crypto::canon::{self, CanonError, Reader};
+
 /// Calibration statistics of the checksum runtime, in device cycles.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Calibration {
@@ -85,6 +87,28 @@ impl Calibration {
     /// Whether a measured runtime passes.
     pub fn accepts(&self, measured: u64) -> bool {
         measured <= self.threshold()
+    }
+
+    /// Appends the canonical encoding `t_avg ‖ sigma ‖ k_sigma ‖ runs`,
+    /// each a little-endian `u64` (the floats as their bit patterns).
+    /// The service snapshot and the enclave-sealed blob both carry
+    /// these 32 bytes.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        canon::put_u64(out, self.t_avg.to_bits());
+        canon::put_u64(out, self.sigma.to_bits());
+        canon::put_u64(out, self.k_sigma.to_bits());
+        canon::put_u64(out, self.runs as u64);
+    }
+
+    /// Decodes one calibration from a [`Reader`].
+    pub fn decode_from(r: &mut Reader<'_>) -> Result<Calibration, CanonError> {
+        // Fields are read in the order written, which is the encoding's.
+        Ok(Calibration {
+            t_avg: f64::from_bits(r.u64()?),
+            sigma: f64::from_bits(r.u64()?),
+            k_sigma: f64::from_bits(r.u64()?),
+            runs: r.u64()? as usize,
+        })
     }
 }
 

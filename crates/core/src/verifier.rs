@@ -1,6 +1,7 @@
 //! The enclave-resident verifier: challenges, replay, timing verdicts,
 //! key establishment and external attestation.
 
+use sage_crypto::canon::Reader;
 use sage_crypto::DhGroup;
 use sage_sgx_sim::{Enclave, Quote};
 use sage_telemetry::{Counter, Histogram, Registry};
@@ -300,11 +301,8 @@ impl Verifier {
         let Some(c) = self.calibration else {
             return false;
         };
-        let mut blob = Vec::with_capacity(8 * 3 + 8);
-        blob.extend_from_slice(&c.t_avg.to_le_bytes());
-        blob.extend_from_slice(&c.sigma.to_le_bytes());
-        blob.extend_from_slice(&c.k_sigma.to_le_bytes());
-        blob.extend_from_slice(&(c.runs as u64).to_le_bytes());
+        let mut blob = Vec::with_capacity(32);
+        c.encode(&mut blob);
         self.enclave.seal("calibration", &blob);
         true
     }
@@ -315,19 +313,14 @@ impl Verifier {
         let Some(blob) = self.enclave.unseal("calibration") else {
             return false;
         };
-        if blob.len() != 32 {
-            return false;
+        let mut r = Reader::new(&blob);
+        match Calibration::decode_from(&mut r).and_then(|c| r.finish().map(|_| c)) {
+            Ok(c) => {
+                self.calibration = Some(c);
+                true
+            }
+            Err(_) => false,
         }
-        let f =
-            |r: core::ops::Range<usize>| f64::from_le_bytes(blob[r].try_into().expect("8 bytes"));
-        let runs = u64::from_le_bytes(blob[24..32].try_into().expect("8 bytes"));
-        self.calibration = Some(Calibration {
-            t_avg: f(0..8),
-            sigma: f(8..16),
-            k_sigma: f(16..24),
-            runs: runs as usize,
-        });
-        true
     }
 
     fn check_timing(&mut self, measured: u64, path: VerdictPath) -> Result<u64> {

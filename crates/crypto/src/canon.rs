@@ -13,9 +13,10 @@
 //!   never a panic, and trailing bytes are rejected by
 //!   [`Reader::finish`].
 //!
-//! The service snapshot codec and the wire codec predate this module and
-//! keep their local encoders; new canonical structures (the evidence
-//! chain, Merkle epochs, verifiable reports) build on this one.
+//! Every byte layout a hash, MAC or seal covers goes through here: the
+//! evidence chain, Merkle epochs and verifiable reports, the service's
+//! wire frames and snapshots, the quorum vote and session-resume MAC
+//! transcripts, and the enclave-sealed calibration.
 
 /// Why a canonical decode failed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -31,9 +32,9 @@ pub enum CanonError {
     },
     /// A declared length exceeds the hard per-field bound (decoders must
     /// not allocate unbounded memory on hostile input).
-    OversizedField,
-    /// Bytes remained after the structure ended.
-    TrailingBytes,
+    OversizedField(u32),
+    /// This many bytes remained after the structure ended.
+    TrailingBytes(usize),
 }
 
 impl core::fmt::Display for CanonError {
@@ -43,8 +44,12 @@ impl core::fmt::Display for CanonError {
             CanonError::BadTag { field, value } => {
                 write!(f, "bad {field} tag {value} in canonical encoding")
             }
-            CanonError::OversizedField => write!(f, "oversized field in canonical encoding"),
-            CanonError::TrailingBytes => write!(f, "trailing bytes after canonical encoding"),
+            CanonError::OversizedField(n) => {
+                write!(f, "oversized field ({n} bytes) in canonical encoding")
+            }
+            CanonError::TrailingBytes(n) => {
+                write!(f, "{n} trailing bytes after canonical encoding")
+            }
         }
     }
 }
@@ -154,11 +159,11 @@ impl<'a> Reader<'a> {
     /// Reads a `u32`-length-prefixed byte string (bounded by
     /// [`MAX_FIELD_LEN`]).
     pub fn bytes(&mut self) -> Result<Vec<u8>, CanonError> {
-        let len = self.u32()? as usize;
-        if len > MAX_FIELD_LEN {
-            return Err(CanonError::OversizedField);
+        let len = self.u32()?;
+        if len as usize > MAX_FIELD_LEN {
+            return Err(CanonError::OversizedField(len));
         }
-        Ok(self.take(len)?.to_vec())
+        Ok(self.take(len as usize)?.to_vec())
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -177,10 +182,9 @@ impl<'a> Reader<'a> {
 
     /// Asserts the structure consumed the input exactly.
     pub fn finish(self) -> Result<(), CanonError> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(CanonError::TrailingBytes)
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(CanonError::TrailingBytes(n)),
         }
     }
 }
@@ -220,7 +224,7 @@ mod tests {
 
         let mut r = Reader::new(&out);
         r.u32().unwrap();
-        assert_eq!(r.finish(), Err(CanonError::TrailingBytes));
+        assert_eq!(r.finish(), Err(CanonError::TrailingBytes(4)));
     }
 
     #[test]
@@ -228,7 +232,7 @@ mod tests {
         let mut out = Vec::new();
         put_u32(&mut out, u32::MAX); // claims a 4 GiB field
         let mut r = Reader::new(&out);
-        assert_eq!(r.bytes(), Err(CanonError::OversizedField));
+        assert_eq!(r.bytes(), Err(CanonError::OversizedField(u32::MAX)));
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl EpochLeaf {
     /// Decodes one leaf from a [`Reader`].
     pub fn decode_from(r: &mut Reader<'_>) -> Result<EpochLeaf, CanonError> {
         Ok(EpochLeaf {
-            device: r.str()?.to_string(),
+            device: r.str()?,
             head: r.fixed::<32>()?,
             seq: r.u64()?,
         })

@@ -45,6 +45,7 @@
 //! device-reported measured cycles — exceeds what the calibrated
 //! direct link can produce. [`relay_wire_excess`] is that check.
 
+use sage_crypto::canon;
 use sage_crypto::cmac::{cmac_aes128, cmac_verify};
 use sage_crypto::Sha256;
 use sage_evidence::StageVerdict;
@@ -331,14 +332,17 @@ impl VerifierSet {
         let mut dissenters = Vec::new();
         let mut invalid = Vec::new();
         let mut newly_suspected = Vec::new();
+        // Every view digest folds `device ‖ round` after the old view.
+        let mut judged = Vec::with_capacity(device.len() + 8);
+        judged.extend_from_slice(device.as_bytes());
+        canon::put_u64(&mut judged, round);
         for (rep, ballot) in self.replicas.iter_mut().zip(&ballots) {
             // Fold the replica's own ballot into its view digest; an
             // invalid ballot folds a distinct marker.
             let cast = rep.behavior.ballot(local);
             let mut h = Sha256::new();
             h.update(&rep.view);
-            h.update(device.as_bytes());
-            h.update(&round.to_le_bytes());
+            h.update(&judged);
             h.update(&[match ballot {
                 Some(_) => verdict_code(cast),
                 None => 0xFF,
@@ -373,14 +377,14 @@ impl VerifierSet {
 }
 
 /// Derives replica `index`'s vote-MAC key from the quorum seed.
-fn derive_vote_key(seed: u64, index: u16) -> [u8; 16] {
-    let mut base = [0u8; 16];
-    base[..8].copy_from_slice(&seed.to_le_bytes());
-    base[8..10].copy_from_slice(b"qv");
-    let mut msg = [0u8; 10];
-    msg[..8].copy_from_slice(b"sage-qkd");
-    msg[8..].copy_from_slice(&index.to_le_bytes());
-    cmac_aes128(&base, &msg)
+pub(crate) fn derive_vote_key(seed: u64, index: u16) -> [u8; 16] {
+    let mut base = Vec::with_capacity(16);
+    canon::put_u64(&mut base, seed);
+    canon::put_fixed(&mut base, b"qv\0\0\0\0\0\0");
+    let mut msg = Vec::with_capacity(10);
+    canon::put_fixed(&mut msg, b"sage-qkd");
+    canon::put_u16(&mut msg, index);
+    cmac_aes128(&base.try_into().expect("16-byte key"), &msg)
 }
 
 /// Stable verdict code used in the vote MAC message and view digest.
@@ -395,14 +399,13 @@ fn verdict_code(v: StageVerdict) -> u8 {
 
 /// The byte string a vote MAC covers: domain tag, verifier index,
 /// device name (length-prefixed), round, verdict code.
-fn vote_message(verifier: u16, device: &str, round: u64, vote: StageVerdict) -> Vec<u8> {
+pub(crate) fn vote_message(verifier: u16, device: &str, round: u64, vote: StageVerdict) -> Vec<u8> {
     let mut msg = Vec::with_capacity(16 + 2 + 2 + device.len() + 8 + 1);
-    msg.extend_from_slice(b"sage-quorum-vote");
-    msg.extend_from_slice(&verifier.to_le_bytes());
-    msg.extend_from_slice(&(device.len() as u16).to_le_bytes());
-    msg.extend_from_slice(device.as_bytes());
-    msg.extend_from_slice(&round.to_le_bytes());
-    msg.push(verdict_code(vote));
+    canon::put_fixed(&mut msg, b"sage-quorum-vote");
+    canon::put_u16(&mut msg, verifier);
+    wire::put_name(&mut msg, device);
+    canon::put_u64(&mut msg, round);
+    canon::put_u8(&mut msg, verdict_code(vote));
     msg
 }
 

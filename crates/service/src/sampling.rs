@@ -52,8 +52,8 @@ impl SamplingConfig {
 
 /// One epoch's resolved spot-check decisions for a roster — the
 /// materialized form of the pure per-device rule, used where a whole
-/// epoch's plan is inspected or shipped at once (the
-/// [`crate::Frame::SamplingPlan`] broadcast, the statistical suite).
+/// epoch's plan is inspected at once (the statistical suite). No plan
+/// is ever sent: every replica re-derives it from `(seed, epoch, name)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpotCheckPlan {
     /// The epoch index this plan covers.

@@ -645,8 +645,10 @@ impl<T: Transport> AttestationService<T> {
     ///
     /// # Panics
     ///
-    /// When the 65,535 node ids are spent (ids are never reused), before
-    /// anything is recorded.
+    /// Before anything is recorded, when the 65,535 node ids are spent
+    /// (ids are never reused), or when the device name is longer than
+    /// [`wire::MAX_NAME`] bytes (it could ride neither a quorum vote nor
+    /// a link frame).
     pub fn join(&mut self, mut member: FleetMember, enclave: Enclave) -> NodeId {
         let (id, mut verifier) = self.begin_enrollment(&mut member, enclave);
         let name = &member.name;
@@ -692,6 +694,11 @@ impl<T: Transport> AttestationService<T> {
         member: &mut FleetMember,
         enclave: Enclave,
     ) -> (NodeId, Verifier) {
+        assert!(
+            member.name.len() <= wire::MAX_NAME,
+            "device name longer than {} bytes",
+            wire::MAX_NAME
+        );
         // Never wraps: id 0 is the verifier's own address.
         let id = u16::try_from(self.next_node)
             .map(NodeId)
@@ -1519,7 +1526,8 @@ impl AttestationService<crate::tcp::TcpTransport> {
     ///
     /// # Panics
     ///
-    /// As [`AttestationService::join`], when the node ids are spent.
+    /// As [`AttestationService::join`], when the node ids are spent or
+    /// the name is too long.
     pub fn join_remote(
         &mut self,
         mut twin: FleetMember,
@@ -2116,5 +2124,43 @@ mod tests {
         assert!(refused.is_err(), "a join past the id space must not wrap");
         assert_eq!(svc.log().events().len(), events);
         assert!(svc.statuses().iter().all(|s| s.node != VERIFIER_NODE));
+    }
+
+    #[test]
+    fn names_longer_than_the_wire_bound_are_refused_at_join() {
+        let cfg = ServiceConfig {
+            reattest_interval: 10_000,
+            bank_capacity: 0,
+            quorum: QuorumConfig {
+                verifiers: 4,
+                seed: 0x51D,
+            },
+            ..ServiceConfig::default()
+        };
+        let net = SimNet::new(5, LinkProfile::default());
+        let mut svc = AttestationService::new(cfg, DhGroup::test_group(), net);
+        // A name at the bound joins and every round is balloted.
+        let (mut m, e) = modeled(0);
+        m.name = "a".repeat(wire::MAX_NAME);
+        svc.join(m, e);
+        svc.run_for(50_000);
+        let status = &svc.statuses()[0];
+        assert_eq!(status.state, DeviceState::Trusted);
+        assert!(status.rounds_passed > 0);
+        assert!(svc.quorum().expect("4-replica quorum").rounds > 0);
+
+        // One byte more is refused before anything is recorded; joined,
+        // it would panic the first quorum vote instead.
+        let events = svc.log().events().len();
+        let next_node = svc.next_node;
+        let (mut m, e) = modeled(1);
+        m.name = "b".repeat(wire::MAX_NAME + 1);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| svc.join(m, e)));
+        assert!(refused.is_err(), "a 257-byte name must not join");
+        assert_eq!(svc.log().events().len(), events);
+        assert_eq!(svc.next_node, next_node);
+        assert_eq!(svc.statuses().len(), 1);
+        svc.run_for(20_000);
+        assert_eq!(svc.statuses()[0].state, DeviceState::Trusted);
     }
 }

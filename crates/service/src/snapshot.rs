@@ -13,13 +13,16 @@
 //! a service whose *subsequent* event history is bit-identical to a run
 //! that never crashed — the keystone invariant `tests/chaos_soak.rs` asserts.
 //!
-//! The format is hand-rolled little-endian (the workspace is
-//! dependency-free by design), magic-tagged and versioned like the wire
-//! codec, and every decode error is typed — a truncated or tampered
-//! snapshot can never panic the control plane.
+//! The format is the canonical encoding of [`sage_crypto::canon`], the
+//! one the wire codec and the evidence records use, magic-tagged and
+//! versioned like the wire codec. Every decode error is typed: a
+//! truncated or tampered snapshot can never panic the control plane.
 
 use sage::verifier::Verifier;
 use sage::Calibration;
+use sage_crypto::canon::{
+    put_fixed, put_str, put_u16, put_u32, put_u64, put_u8, CanonError, Reader,
+};
 use sage_crypto::DhGroup;
 use sage_evidence::chain::{decode_records, encode_records};
 use sage_evidence::merkle::{EpochLeaf, EpochTree};
@@ -56,8 +59,11 @@ const MAGIC: u32 = 0x5A6E_A950;
 /// tally (failures by reason, freshness changes by level) in place of
 /// the counters block, and each passed round's dispatch time. Version 8
 /// widens the node-id counter to `u32`, so a spent id space (the counter
-/// past `u16::MAX`) survives a restart.
-const VERSION: u16 = 8;
+/// past `u16::MAX`) survives a restart. Version 9 moves the format onto
+/// `sage_crypto::canon`: strings carry a `u32` length prefix, evidence
+/// records follow their anchor inline, and the calibration and the
+/// sealed-epoch leaves use their types' own canonical encodings.
+const VERSION: u16 = 9;
 
 /// Why a snapshot could not be decoded or re-married to its endpoints.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -75,8 +81,8 @@ pub enum SnapshotError {
         /// The offending value.
         value: u8,
     },
-    /// A device name in the snapshot was not valid UTF-8.
-    BadName,
+    /// A length prefix exceeded canon's per-field bound.
+    Oversized(u32),
     /// Bytes remained after the structure ended.
     TrailingBytes,
     /// The snapshot names a device no provided endpoint serves.
@@ -104,7 +110,9 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::BadTag { field, value } => {
                 write!(f, "bad {field} tag {value} in snapshot")
             }
-            SnapshotError::BadName => write!(f, "device name in snapshot is not UTF-8"),
+            SnapshotError::Oversized(n) => {
+                write!(f, "{n}-byte field in snapshot exceeds the bound")
+            }
             SnapshotError::TrailingBytes => write!(f, "trailing bytes after snapshot"),
             SnapshotError::MissingEndpoint(n) => {
                 write!(f, "snapshot device {n:?} has no surviving endpoint")
@@ -139,22 +147,12 @@ pub struct Endpoint {
 // Encoding
 // ---------------------------------------------------------------------
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    put_u16(out, bytes.len().min(u16::MAX as usize) as u16);
-    out.extend_from_slice(&bytes[..bytes.len().min(u16::MAX as usize)]);
+/// Appends a presence flag, then the value when there is one.
+fn put_opt<V>(out: &mut Vec<u8>, v: Option<V>, put: impl FnOnce(&mut Vec<u8>, V)) {
+    put_u8(out, v.is_some() as u8);
+    if let Some(v) = v {
+        put(out, v);
+    }
 }
 
 fn state_tag(s: DeviceState) -> u8 {
@@ -182,16 +180,16 @@ fn put_event(out: &mut Vec<u8>, e: &Event) {
     put_u64(out, e.at);
     put_str(out, &e.device);
     match &e.kind {
-        EventKind::Joined => out.push(0),
-        EventKind::CalibrationFailed => out.push(1),
-        EventKind::EstablishFailed => out.push(2),
+        EventKind::Joined => put_u8(out, 0),
+        EventKind::CalibrationFailed => put_u8(out, 1),
+        EventKind::EstablishFailed => put_u8(out, 2),
         EventKind::StateChanged { from, to } => {
-            out.push(3);
-            out.push(state_tag(*from));
-            out.push(state_tag(*to));
+            put_u8(out, 3);
+            put_u8(out, state_tag(*from));
+            put_u8(out, state_tag(*to));
         }
         EventKind::RoundStarted { round } => {
-            out.push(4);
+            put_u8(out, 4);
             put_u64(out, *round);
         }
         EventKind::RoundPassed {
@@ -199,39 +197,39 @@ fn put_event(out: &mut Vec<u8>, e: &Event) {
             measured,
             started_at,
         } => {
-            out.push(5);
+            put_u8(out, 5);
             put_u64(out, *round);
             put_u64(out, *measured);
             put_u64(out, *started_at);
         }
         EventKind::RoundFailed { round, reason } => {
-            out.push(6);
+            put_u8(out, 6);
             put_u64(out, *round);
-            out.push(reason_tag(*reason));
+            put_u8(out, reason_tag(*reason));
         }
         EventKind::Restarted { round } => {
-            out.push(7);
+            put_u8(out, 7);
             put_u64(out, *round);
         }
         EventKind::LateResponse { round } => {
-            out.push(8);
+            put_u8(out, 8);
             put_u64(out, *round);
         }
-        EventKind::Left => out.push(9),
+        EventKind::Left => put_u8(out, 9),
         EventKind::FreshnessChanged { from, to } => {
-            out.push(10);
-            out.push(from.tag());
-            out.push(to.tag());
+            put_u8(out, 10);
+            put_u8(out, from.tag());
+            put_u8(out, to.tag());
         }
         EventKind::EpochSealed { epoch, root } => {
-            out.push(11);
+            put_u8(out, 11);
             put_u64(out, *epoch);
-            out.extend_from_slice(root);
+            put_fixed(out, root);
         }
-        EventKind::LinkDown => out.push(12),
-        EventKind::LinkResumed => out.push(13),
+        EventKind::LinkDown => put_u8(out, 12),
+        EventKind::LinkResumed => put_u8(out, 13),
         EventKind::SpotCheckSkipped { epoch } => {
-            out.push(14);
+            put_u8(out, 14);
             put_u64(out, *epoch);
         }
         EventKind::QuorumDisputed {
@@ -239,13 +237,13 @@ fn put_event(out: &mut Vec<u8>, e: &Event) {
             accepts,
             rejects,
         } => {
-            out.push(15);
+            put_u8(out, 15);
             put_u64(out, *round);
             put_u16(out, *accepts);
             put_u16(out, *rejects);
         }
         EventKind::VerifierSuspected { verifier, round } => {
-            out.push(16);
+            put_u8(out, 16);
             put_u16(out, *verifier);
             put_u64(out, *round);
         }
@@ -262,96 +260,47 @@ pub(crate) fn encode<T: Transport>(svc: &AttestationService<T>) -> Vec<u8> {
     for d in &svc.devices {
         put_str(&mut out, &d.node.member.name);
         put_u16(&mut out, d.node.id.0);
-        out.push(state_tag(d.state));
+        put_u8(&mut out, state_tag(d.state));
         put_u64(&mut out, d.round);
         put_u64(&mut out, d.rounds_passed);
         put_u32(&mut out, d.consecutive_failures);
         put_u32(&mut out, d.consecutive_value_failures);
         put_u32(&mut out, d.consecutive_restarts);
-        match d.next_action_at {
-            Some(t) => {
-                out.push(1);
-                put_u64(&mut out, t);
-            }
-            None => out.push(0),
-        }
-        match &d.outstanding {
-            Some(o) => {
-                out.push(1);
-                put_u64(&mut out, o.round);
-                put_u64(&mut out, o.deadline);
-                put_u64(&mut out, o.started_at);
-                match o.expected {
-                    Some(words) => {
-                        out.push(1);
-                        for w in words {
-                            put_u32(&mut out, w);
-                        }
-                    }
-                    None => out.push(0),
+        put_opt(&mut out, d.next_action_at, put_u64);
+        put_opt(&mut out, d.outstanding.as_ref(), |out, o| {
+            put_u64(out, o.round);
+            put_u64(out, o.deadline);
+            put_u64(out, o.started_at);
+            put_opt(out, o.expected, |out, words| {
+                for w in words {
+                    put_u32(out, w);
                 }
-                put_u32(&mut out, o.challenges.len() as u32);
-                for c in &o.challenges {
-                    out.extend_from_slice(c);
-                }
+            });
+            put_u32(out, o.challenges.len() as u32);
+            for c in &o.challenges {
+                put_fixed(out, c);
             }
-            None => out.push(0),
-        }
-        match d.verifier.calibration() {
-            Some(c) => {
-                out.push(1);
-                put_f64(&mut out, c.t_avg);
-                put_f64(&mut out, c.sigma);
-                put_f64(&mut out, c.k_sigma);
-                put_u64(&mut out, c.runs as u64);
-            }
-            None => out.push(0),
-        }
-        match d.session_key {
-            Some(sk) => {
-                out.push(1);
-                out.extend_from_slice(&sk);
-            }
-            None => out.push(0),
-        }
-        match &d.evidence {
-            Some(chain) => {
-                out.push(1);
-                let anchor = chain.anchor();
-                put_u64(&mut out, anchor.seq);
-                out.extend_from_slice(&anchor.head);
-                match anchor.last_pass_at {
-                    Some(t) => {
-                        out.push(1);
-                        put_u64(&mut out, t);
-                    }
-                    None => out.push(0),
-                }
-                let blob = encode_records(chain.records());
-                put_u32(&mut out, blob.len() as u32);
-                out.extend_from_slice(&blob);
-            }
-            None => out.push(0),
-        }
-        out.push(d.freshness.tag());
+        });
+        put_opt(&mut out, d.verifier.calibration(), |out, c| c.encode(out));
+        put_opt(&mut out, d.session_key.as_ref(), put_fixed);
+        put_opt(&mut out, d.evidence.as_ref(), |out, chain| {
+            let anchor = chain.anchor();
+            put_u64(out, anchor.seq);
+            put_fixed(out, &anchor.head);
+            put_opt(out, anchor.last_pass_at, put_u64);
+            out.extend_from_slice(&encode_records(chain.records()));
+        });
+        put_u8(&mut out, d.freshness.tag());
     }
-    match svc.next_seal_at {
-        Some(t) => {
-            out.push(1);
-            put_u64(&mut out, t);
-        }
-        None => out.push(0),
-    }
+    put_opt(&mut out, svc.next_seal_at, put_u64);
     put_u32(&mut out, svc.sealed_epochs.len() as u32);
     for e in &svc.sealed_epochs {
         put_u64(&mut out, e.index);
         put_u64(&mut out, e.at);
-        out.extend_from_slice(&e.root);
+        put_fixed(&mut out, &e.root);
         put_u32(&mut out, e.leaves.len() as u32);
         for l in &e.leaves {
-            put_str(&mut out, &l.device);
-            out.extend_from_slice(&l.head);
-            put_u64(&mut out, l.seq);
+            l.encode(&mut out);
         }
     }
     let events = svc.log.events();
@@ -364,21 +313,17 @@ pub(crate) fn encode<T: Transport>(svc: &AttestationService<T>) -> Vec<u8> {
     // Verifier-quorum running state. Vote keys are not snapshotted:
     // they re-derive from the configured quorum seed on restore,
     // mirroring how device session keys survive in the endpoints.
-    match &svc.quorum {
-        Some(set) => {
-            out.push(1);
-            put_u16(&mut out, set.len() as u16);
-            put_u64(&mut out, set.rounds);
-            put_u64(&mut out, set.disputes);
-            for rep in set.replicas() {
-                out.push(rep.behavior.tag());
-                out.push(u8::from(rep.suspected));
-                put_u64(&mut out, rep.dissents);
-                out.extend_from_slice(&rep.view);
-            }
+    put_opt(&mut out, svc.quorum.as_ref(), |out, set| {
+        put_u16(out, set.len() as u16);
+        put_u64(out, set.rounds);
+        put_u64(out, set.disputes);
+        for rep in set.replicas() {
+            put_u8(out, rep.behavior.tag());
+            put_u8(out, u8::from(rep.suspected));
+            put_u64(out, rep.dissents);
+            put_fixed(out, &rep.view);
         }
-        None => out.push(0),
-    }
+    });
     out
 }
 
@@ -393,113 +338,60 @@ fn put_tally(out: &mut Vec<u8>, t: &Tally) {
 // Decoding
 // ---------------------------------------------------------------------
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+impl From<CanonError> for SnapshotError {
+    fn from(e: CanonError) -> SnapshotError {
+        match e {
+            CanonError::Truncated => SnapshotError::Truncated,
+            CanonError::BadTag { field, value } => SnapshotError::BadTag { field, value },
+            CanonError::OversizedField(len) => SnapshotError::Oversized(len),
+            CanonError::TrailingBytes(_) => SnapshotError::TrailingBytes,
+        }
+    }
 }
 
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(SnapshotError::Truncated);
+fn state(r: &mut Reader<'_>) -> Result<DeviceState, SnapshotError> {
+    Ok(match r.u8()? {
+        0 => DeviceState::Enrolled,
+        1 => DeviceState::Attesting,
+        2 => DeviceState::Trusted,
+        3 => DeviceState::Degraded,
+        4 => DeviceState::Quarantined,
+        5 => DeviceState::Revoked,
+        value => {
+            return Err(SnapshotError::BadTag {
+                field: "device state",
+                value,
+            })
         }
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
+    })
+}
 
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, SnapshotError> {
-        let b = self.bytes(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.bytes(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.bytes(8)?;
-        let mut a = [0u8; 8];
-        a.copy_from_slice(b);
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn f64(&mut self) -> Result<f64, SnapshotError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str(&mut self) -> Result<String, SnapshotError> {
-        let len = self.u16()? as usize;
-        let b = self.bytes(len)?;
-        String::from_utf8(b.to_vec()).map_err(|_| SnapshotError::BadName)
-    }
-
-    fn state(&mut self) -> Result<DeviceState, SnapshotError> {
-        let tag = self.u8()?;
-        Ok(match tag {
-            0 => DeviceState::Enrolled,
-            1 => DeviceState::Attesting,
-            2 => DeviceState::Trusted,
-            3 => DeviceState::Degraded,
-            4 => DeviceState::Quarantined,
-            5 => DeviceState::Revoked,
-            value => {
-                return Err(SnapshotError::BadTag {
-                    field: "device state",
-                    value,
-                })
-            }
-        })
-    }
-
-    fn reason(&mut self) -> Result<FailReason, SnapshotError> {
-        let tag = self.u8()?;
-        Ok(match tag {
-            0 => FailReason::WrongValue,
-            1 => FailReason::TooSlow,
-            2 => FailReason::Timeout,
-            3 => FailReason::LinkDown,
-            4 => FailReason::Relay,
-            value => {
-                return Err(SnapshotError::BadTag {
-                    field: "fail reason",
-                    value,
-                })
-            }
-        })
-    }
-
-    fn flag(&mut self, field: &'static str) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            value => Err(SnapshotError::BadTag { field, value }),
+fn reason(r: &mut Reader<'_>) -> Result<FailReason, SnapshotError> {
+    Ok(match r.u8()? {
+        0 => FailReason::WrongValue,
+        1 => FailReason::TooSlow,
+        2 => FailReason::Timeout,
+        3 => FailReason::LinkDown,
+        4 => FailReason::Relay,
+        value => {
+            return Err(SnapshotError::BadTag {
+                field: "fail reason",
+                value,
+            })
         }
-    }
+    })
+}
 
-    fn fixed<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
-        let mut a = [0u8; N];
-        a.copy_from_slice(self.bytes(N)?);
-        Ok(a)
+fn flag(r: &mut Reader<'_>, field: &'static str) -> Result<bool, SnapshotError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        value => Err(SnapshotError::BadTag { field, value }),
     }
+}
 
-    fn freshness(&mut self) -> Result<Freshness, SnapshotError> {
-        let value = self.u8()?;
-        Freshness::from_tag(value).map_err(|_| SnapshotError::BadTag {
-            field: "freshness",
-            value,
-        })
-    }
+fn freshness(r: &mut Reader<'_>) -> Result<Freshness, SnapshotError> {
+    Ok(Freshness::from_tag(r.u8()?)?)
 }
 
 /// Scheduler-side state of one device, decoded from a snapshot.
@@ -556,25 +448,29 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
     if version != VERSION {
         return Err(SnapshotError::BadVersion(version));
     }
+    // Struct fields below are read in the order written, which is the
+    // encoding's.
     let now = r.u64()?;
     let next_node = r.u32()?;
-    let n_devices = r.u32()? as usize;
+    let n_devices = r.u32()?;
     let mut devices = Vec::new();
     for _ in 0..n_devices {
         let name = r.str()?;
         let node = NodeId(r.u16()?);
-        let state = r.state()?;
+        let state = state(&mut r)?;
         let round = r.u64()?;
         let rounds_passed = r.u64()?;
         let consecutive_failures = r.u32()?;
         let consecutive_value_failures = r.u32()?;
         let consecutive_restarts = r.u32()?;
-        let next_action_at = r.flag("next_action_at")?.then(|| r.u64()).transpose()?;
-        let outstanding = if r.flag("outstanding")? {
+        let next_action_at = flag(&mut r, "next_action_at")?
+            .then(|| r.u64())
+            .transpose()?;
+        let outstanding = if flag(&mut r, "outstanding")? {
             let o_round = r.u64()?;
             let deadline = r.u64()?;
             let started_at = r.u64()?;
-            let expected = if r.flag("expected")? {
+            let expected = if flag(&mut r, "expected")? {
                 let mut words = [0u32; 8];
                 for w in &mut words {
                     *w = r.u32()?;
@@ -583,12 +479,10 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
             } else {
                 None
             };
-            let n_ch = r.u32()? as usize;
+            let n_ch = r.u32()?;
             let mut challenges = Vec::new();
             for _ in 0..n_ch {
-                let mut c = [0u8; 16];
-                c.copy_from_slice(r.bytes(16)?);
-                challenges.push(c);
+                challenges.push(r.fixed()?);
             }
             Some(Outstanding {
                 round: o_round,
@@ -600,37 +494,25 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
         } else {
             None
         };
-        let calibration = if r.flag("calibration")? {
-            Some(Calibration {
-                t_avg: r.f64()?,
-                sigma: r.f64()?,
-                k_sigma: r.f64()?,
-                runs: r.u64()? as usize,
-            })
-        } else {
-            None
-        };
-        let session_key = r
-            .flag("session_key")?
-            .then(|| r.fixed::<16>())
+        let calibration = flag(&mut r, "calibration")?
+            .then(|| Calibration::decode_from(&mut r))
             .transpose()?;
-        let evidence = if r.flag("evidence")? {
+        let session_key = flag(&mut r, "session_key")?
+            .then(|| r.fixed())
+            .transpose()?;
+        let evidence = if flag(&mut r, "evidence")? {
             let anchor = ChainAnchor {
                 seq: r.u64()?,
-                head: r.fixed::<32>()?,
-                last_pass_at: r.flag("last_pass_at")?.then(|| r.u64()).transpose()?,
+                head: r.fixed()?,
+                last_pass_at: flag(&mut r, "last_pass_at")?.then(|| r.u64()).transpose()?,
             };
-            let len = r.u32()? as usize;
-            let blob = r.bytes(len)?;
-            let mut cr = sage_crypto::canon::Reader::new(blob);
-            let records = decode_records(&mut cr)
-                .and_then(|recs| cr.finish().map(|_| recs))
-                .map_err(|_| SnapshotError::BadEvidence(name.clone()))?;
+            let records =
+                decode_records(&mut r).map_err(|_| SnapshotError::BadEvidence(name.clone()))?;
             Some((anchor, records))
         } else {
             None
         };
-        let freshness = r.freshness()?;
+        let freshness = freshness(&mut r)?;
         devices.push(DeviceRecord {
             name,
             node,
@@ -648,21 +530,17 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
             freshness,
         });
     }
-    let next_seal_at = r.flag("next_seal_at")?.then(|| r.u64()).transpose()?;
-    let n_epochs = r.u32()? as usize;
+    let next_seal_at = flag(&mut r, "next_seal_at")?.then(|| r.u64()).transpose()?;
+    let n_epochs = r.u32()?;
     let mut sealed_epochs = Vec::new();
     for _ in 0..n_epochs {
         let index = r.u64()?;
         let at = r.u64()?;
-        let root = r.fixed::<32>()?;
-        let n_leaves = r.u32()? as usize;
+        let root = r.fixed()?;
+        let n_leaves = r.u32()?;
         let mut leaves = Vec::new();
         for _ in 0..n_leaves {
-            leaves.push(EpochLeaf {
-                device: r.str()?,
-                head: r.fixed::<32>()?,
-                seq: r.u64()?,
-            });
+            leaves.push(EpochLeaf::decode_from(&mut r)?);
         }
         sealed_epochs.push(SealedEpoch {
             index,
@@ -671,19 +549,18 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
             leaves,
         });
     }
-    let n_events = r.u32()? as usize;
+    let n_events = r.u32()?;
     let mut events = Vec::new();
     for _ in 0..n_events {
         let at = r.u64()?;
         let device = r.str()?;
-        let tag = r.u8()?;
-        let kind = match tag {
+        let kind = match r.u8()? {
             0 => EventKind::Joined,
             1 => EventKind::CalibrationFailed,
             2 => EventKind::EstablishFailed,
             3 => EventKind::StateChanged {
-                from: r.state()?,
-                to: r.state()?,
+                from: state(&mut r)?,
+                to: state(&mut r)?,
             },
             4 => EventKind::RoundStarted { round: r.u64()? },
             5 => EventKind::RoundPassed {
@@ -693,18 +570,18 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
             },
             6 => EventKind::RoundFailed {
                 round: r.u64()?,
-                reason: r.reason()?,
+                reason: reason(&mut r)?,
             },
             7 => EventKind::Restarted { round: r.u64()? },
             8 => EventKind::LateResponse { round: r.u64()? },
             9 => EventKind::Left,
             10 => EventKind::FreshnessChanged {
-                from: r.freshness()?,
-                to: r.freshness()?,
+                from: freshness(&mut r)?,
+                to: freshness(&mut r)?,
             },
             11 => EventKind::EpochSealed {
                 epoch: r.u64()?,
-                root: r.fixed::<32>()?,
+                root: r.fixed()?,
             },
             12 => EventKind::LinkDown,
             13 => EventKind::LinkResumed,
@@ -732,25 +609,22 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
         *v = r.u64()?;
     }
     let events_dropped = r.u64()?;
-    let quorum = if r.flag("quorum")? {
-        let n = r.u16()? as usize;
+    let quorum = if flag(&mut r, "quorum")? {
+        let n = r.u16()?;
         let rounds = r.u64()?;
         let disputes = r.u64()?;
-        let mut replicas = Vec::with_capacity(n);
+        let mut replicas = Vec::new();
         for _ in 0..n {
             let value = r.u8()?;
             let behavior = VerifierBehavior::from_tag(value).ok_or(SnapshotError::BadTag {
                 field: "verifier behavior",
                 value,
             })?;
-            let suspected = r.flag("verifier suspected")?;
-            let dissents = r.u64()?;
-            let view = r.fixed::<32>()?;
             replicas.push(ReplicaRecord {
                 behavior,
-                suspected,
-                dissents,
-                view,
+                suspected: flag(&mut r, "verifier suspected")?,
+                dissents: r.u64()?,
+                view: r.fixed()?,
             });
         }
         Some(QuorumRecord {
@@ -761,9 +635,7 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
     } else {
         None
     };
-    if r.pos != bytes.len() {
-        return Err(SnapshotError::TrailingBytes);
-    }
+    r.finish()?;
     Ok(Decoded {
         now,
         next_node,

@@ -43,6 +43,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use sage::multi::FleetMember;
+use sage_crypto::canon;
 use sage_crypto::cmac::{cmac_aes128, cmac_verify};
 use sage_crypto::DhGroup;
 use sage_telemetry::{Counter, Histogram, Registry};
@@ -402,13 +403,17 @@ pub fn link_key(session_key: &[u8; 16]) -> [u8; 16] {
     sage::sake::mac_key(b"sage-link", session_key)
 }
 
-fn hello_transcript(label: &[u8], device: &str, nonce: &[u8; 16], resume_from: u64) -> Vec<u8> {
+pub(crate) fn hello_transcript(
+    label: &[u8],
+    device: &str,
+    nonce: &[u8; 16],
+    resume_from: u64,
+) -> Vec<u8> {
     let mut t = Vec::with_capacity(label.len() + 2 + device.len() + 24);
     t.extend_from_slice(label);
-    t.extend_from_slice(&(device.len() as u16).to_le_bytes());
-    t.extend_from_slice(device.as_bytes());
-    t.extend_from_slice(nonce);
-    t.extend_from_slice(&resume_from.to_le_bytes());
+    crate::wire::put_name(&mut t, device);
+    canon::put_fixed(&mut t, nonce);
+    canon::put_u64(&mut t, resume_from);
     t
 }
 

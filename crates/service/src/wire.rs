@@ -19,11 +19,17 @@
 //! with a typed [`CodecError`] — a lossy or adversarial link can corrupt
 //! frames, and the state machine must fail closed rather than
 //! misinterpret them.
+//!
+//! Fields are written and read with [`sage_crypto::canon`], the codec
+//! the snapshot and the evidence records share; its errors map onto
+//! [`CodecError`] at this boundary. The one local layout is the device
+//! name: a `u16` length, at most [`MAX_NAME`] bytes.
 
 use core::fmt;
 
 use sage::channel::Wire;
 use sage::sake::SakeMessage;
+use sage_crypto::canon::{self, CanonError, Reader};
 use sage_evidence::StageVerdict;
 
 /// Frame magic ("SAGE service", arbitrary but fixed).
@@ -55,10 +61,9 @@ const K_ENROLL: u8 = 0x31;
 const K_HELLO: u8 = 0x32;
 const K_HELLO_ACK: u8 = 0x33;
 const K_HEARTBEAT: u8 = 0x34;
-// Quorum frames (0x40+): cross-verifier vote exchange and spot-check
-// plan broadcast for the multi-verifier control plane.
+// Quorum frames (0x40+): cross-verifier vote exchange for the
+// multi-verifier control plane.
 const K_QUORUM_VOTE: u8 = 0x40;
-const K_SAMPLING_PLAN: u8 = 0x41;
 
 /// Longest device name the link frames will carry.
 pub const MAX_NAME: usize = 256;
@@ -163,19 +168,6 @@ pub enum Frame {
         /// replica's per-session vote key.
         mac: [u8; 16],
     },
-    /// Verifier ↔ verifier: one epoch's spot-check plan, broadcast so
-    /// every replica attests (and expects silence from) the same
-    /// sample. Coverage above 1000‰ is rejected at decode.
-    SamplingPlan {
-        /// The epoch the plan covers.
-        epoch: u64,
-        /// Coverage the plan was drawn at, in per-mille (≤ 1000).
-        coverage_per_mille: u32,
-        /// The plan seed (lets a receiver re-derive and cross-check).
-        seed: u64,
-        /// Devices selected for attestation this epoch.
-        selected: Vec<String>,
-    },
 }
 
 /// The self-checking vote-tag byte: verdict tag in the low nibble, its
@@ -245,13 +237,21 @@ impl std::error::Error for CodecError {}
 pub fn encode(frame: &Frame) -> Vec<u8> {
     let (kind, payload) = match frame {
         Frame::Sake(msg) => encode_sake(msg),
-        Frame::Channel(wire) => (K_CHANNEL, encode_channel(wire)),
+        Frame::Channel(wire) => {
+            let mut p = Vec::with_capacity(33 + wire.body.len());
+            canon::put_u64(&mut p, wire.seq);
+            canon::put_u32(&mut p, wire.addr);
+            canon::put_u8(&mut p, wire.confidential as u8);
+            canon::put_fixed(&mut p, &wire.mac);
+            canon::put_bytes(&mut p, &wire.body);
+            (K_CHANNEL, p)
+        }
         Frame::Challenge { round, challenges } => {
             let mut p = Vec::with_capacity(12 + challenges.len() * 16);
-            p.extend_from_slice(&round.to_le_bytes());
-            p.extend_from_slice(&(challenges.len() as u32).to_le_bytes());
+            canon::put_u64(&mut p, *round);
+            canon::put_u32(&mut p, challenges.len() as u32);
             for c in challenges {
-                p.extend_from_slice(c);
+                canon::put_fixed(&mut p, c);
             }
             (K_CHALLENGE, p)
         }
@@ -261,11 +261,11 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             measured_cycles,
         } => {
             let mut p = Vec::with_capacity(48);
-            p.extend_from_slice(&round.to_le_bytes());
-            for w in checksum {
-                p.extend_from_slice(&w.to_le_bytes());
+            canon::put_u64(&mut p, *round);
+            for &w in checksum {
+                canon::put_u32(&mut p, w);
             }
-            p.extend_from_slice(&measured_cycles.to_le_bytes());
+            canon::put_u64(&mut p, *measured_cycles);
             (K_RESPONSE, p)
         }
         Frame::SakeCommitTimed {
@@ -274,15 +274,15 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             measured_cycles,
         } => {
             let mut p = Vec::with_capacity(56);
-            p.extend_from_slice(w2);
-            p.extend_from_slice(mac);
-            p.extend_from_slice(&measured_cycles.to_le_bytes());
+            canon::put_fixed(&mut p, w2);
+            canon::put_fixed(&mut p, mac);
+            canon::put_u64(&mut p, *measured_cycles);
             (K_SAKE_COMMIT_TIMED, p)
         }
         Frame::LinkNonce { nonce } => (K_LINK_NONCE, nonce.to_vec()),
         Frame::Enroll { device } => {
             let mut p = Vec::with_capacity(2 + device.len());
-            encode_name(&mut p, device);
+            put_name(&mut p, device);
             (K_ENROLL, p)
         }
         Frame::Hello {
@@ -292,22 +292,22 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             mac,
         } => {
             let mut p = Vec::with_capacity(42 + device.len());
-            encode_name(&mut p, device);
-            p.extend_from_slice(nonce);
-            p.extend_from_slice(&resume_from.to_le_bytes());
-            p.extend_from_slice(mac);
+            put_name(&mut p, device);
+            canon::put_fixed(&mut p, nonce);
+            canon::put_u64(&mut p, *resume_from);
+            canon::put_fixed(&mut p, mac);
             (K_HELLO, p)
         }
         Frame::HelloAck { nonce, mac } => {
             let mut p = Vec::with_capacity(32);
-            p.extend_from_slice(nonce);
-            p.extend_from_slice(mac);
+            canon::put_fixed(&mut p, nonce);
+            canon::put_fixed(&mut p, mac);
             (K_HELLO_ACK, p)
         }
         Frame::Heartbeat { seq, echo } => {
             let mut p = Vec::with_capacity(9);
-            p.extend_from_slice(&seq.to_le_bytes());
-            p.push(*echo as u8);
+            canon::put_u64(&mut p, *seq);
+            canon::put_u8(&mut p, *echo as u8);
             (K_HEARTBEAT, p)
         }
         Frame::QuorumVote {
@@ -318,33 +318,12 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             mac,
         } => {
             let mut p = Vec::with_capacity(29 + device.len());
-            p.extend_from_slice(&verifier.to_le_bytes());
-            encode_name(&mut p, device);
-            p.extend_from_slice(&round.to_le_bytes());
-            p.push(vote_byte(*vote));
-            p.extend_from_slice(mac);
+            canon::put_u16(&mut p, *verifier);
+            put_name(&mut p, device);
+            canon::put_u64(&mut p, *round);
+            canon::put_u8(&mut p, vote_byte(*vote));
+            canon::put_fixed(&mut p, mac);
             (K_QUORUM_VOTE, p)
-        }
-        Frame::SamplingPlan {
-            epoch,
-            coverage_per_mille,
-            seed,
-            selected,
-        } => {
-            assert!(
-                *coverage_per_mille <= 1000,
-                "coverage is per-mille, at most 1000"
-            );
-            let mut p =
-                Vec::with_capacity(24 + selected.iter().map(|n| 2 + n.len()).sum::<usize>());
-            p.extend_from_slice(&epoch.to_le_bytes());
-            p.extend_from_slice(&coverage_per_mille.to_le_bytes());
-            p.extend_from_slice(&seed.to_le_bytes());
-            p.extend_from_slice(&(selected.len() as u32).to_le_bytes());
-            for name in selected {
-                encode_name(&mut p, name);
-            }
-            (K_SAMPLING_PLAN, p)
         }
     };
     assert!(
@@ -352,10 +331,10 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
         "frame payload too large"
     );
     let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(VERSION);
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    canon::put_u16(&mut out, MAGIC);
+    canon::put_u8(&mut out, VERSION);
+    canon::put_u8(&mut out, kind);
+    canon::put_u32(&mut out, payload.len() as u32);
     out.extend_from_slice(&payload);
     out
 }
@@ -365,44 +344,65 @@ fn encode_sake(msg: &SakeMessage) -> (u8, Vec<u8>) {
         SakeMessage::Challenge { v2 } => (K_SAKE_CHALLENGE, v2.to_vec()),
         SakeMessage::Commit { w2, mac } => {
             let mut p = Vec::with_capacity(48);
-            p.extend_from_slice(w2);
-            p.extend_from_slice(mac);
+            canon::put_fixed(&mut p, w2);
+            canon::put_fixed(&mut p, mac);
             (K_SAKE_COMMIT, p)
         }
         SakeMessage::RevealV1 { v1 } => (K_SAKE_REVEAL_V1, v1.to_vec()),
         SakeMessage::DeviceReveal1 { w1, k, mac_k } => {
             let mut p = Vec::with_capacity(52 + k.len());
-            p.extend_from_slice(w1);
-            p.extend_from_slice(&(k.len() as u32).to_le_bytes());
-            p.extend_from_slice(k);
-            p.extend_from_slice(mac_k);
+            canon::put_fixed(&mut p, w1);
+            canon::put_bytes(&mut p, k);
+            canon::put_fixed(&mut p, mac_k);
             (K_SAKE_DEV_REVEAL1, p)
         }
         SakeMessage::RevealV0 { v0 } => {
             let mut p = Vec::with_capacity(4 + v0.len());
-            p.extend_from_slice(&(v0.len() as u32).to_le_bytes());
-            p.extend_from_slice(v0);
+            canon::put_bytes(&mut p, v0);
             (K_SAKE_REVEAL_V0, p)
         }
         SakeMessage::DeviceReveal0 { w0 } => (K_SAKE_DEV_REVEAL0, w0.to_vec()),
     }
 }
 
-fn encode_name(p: &mut Vec<u8>, name: &str) {
+/// Appends a device name as the link frames and MAC transcripts carry
+/// it: a `u16` length, then the bytes.
+///
+/// # Panics
+///
+/// When the name is longer than [`MAX_NAME`]; the service refuses such
+/// names at enrollment, and the decoder rejects them.
+pub(crate) fn put_name(out: &mut Vec<u8>, name: &str) {
     assert!(name.len() <= MAX_NAME, "device name too long for the wire");
-    p.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    p.extend_from_slice(name.as_bytes());
+    canon::put_u16(out, name.len() as u16);
+    out.extend_from_slice(name.as_bytes());
 }
 
-fn encode_channel(wire: &Wire) -> Vec<u8> {
-    let mut p = Vec::with_capacity(33 + wire.body.len());
-    p.extend_from_slice(&wire.seq.to_le_bytes());
-    p.extend_from_slice(&wire.addr.to_le_bytes());
-    p.push(wire.confidential as u8);
-    p.extend_from_slice(&wire.mac);
-    p.extend_from_slice(&(wire.body.len() as u32).to_le_bytes());
-    p.extend_from_slice(&wire.body);
-    p
+fn read_name(r: &mut Reader<'_>) -> Result<String, CodecError> {
+    let len = r.u16()?;
+    if len as usize > MAX_NAME {
+        return Err(CodecError::Oversize(len.into()));
+    }
+    String::from_utf8(r.take(len.into())?.to_vec()).map_err(|_| CodecError::BadField("device name"))
+}
+
+fn read_flag(r: &mut Reader<'_>, field: &'static str) -> Result<bool, CodecError> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(CodecError::BadField(field)),
+    }
+}
+
+impl From<CanonError> for CodecError {
+    fn from(e: CanonError) -> CodecError {
+        match e {
+            CanonError::Truncated => CodecError::Truncated,
+            CanonError::BadTag { field, .. } => CodecError::BadField(field),
+            CanonError::OversizedField(len) => CodecError::Oversize(len),
+            CanonError::TrailingBytes(n) => CodecError::Trailing(n),
+        }
+    }
 }
 
 /// Decodes a wire buffer back into a frame.
@@ -430,64 +430,38 @@ pub fn decode(bytes: &[u8]) -> Result<Frame, CodecError> {
             Err(CodecError::Trailing(r.remaining() - len as usize))
         };
     }
+    // Struct fields below are read in the order written, which is the
+    // wire order.
     let frame = match kind {
-        K_SAKE_CHALLENGE => Frame::Sake(SakeMessage::Challenge { v2: r.arr32()? }),
+        K_SAKE_CHALLENGE => Frame::Sake(SakeMessage::Challenge { v2: r.fixed()? }),
         K_SAKE_COMMIT => Frame::Sake(SakeMessage::Commit {
-            w2: r.arr32()?,
-            mac: r.arr16()?,
+            w2: r.fixed()?,
+            mac: r.fixed()?,
         }),
-        K_SAKE_REVEAL_V1 => Frame::Sake(SakeMessage::RevealV1 { v1: r.arr32()? }),
-        K_SAKE_DEV_REVEAL1 => {
-            let w1 = r.arr32()?;
-            let klen = r.u32()?;
-            if klen > MAX_PAYLOAD {
-                return Err(CodecError::Oversize(klen));
-            }
-            let k = r.take(klen as usize)?.to_vec();
-            let mac_k = r.arr16()?;
-            Frame::Sake(SakeMessage::DeviceReveal1 { w1, k, mac_k })
-        }
-        K_SAKE_REVEAL_V0 => {
-            let vlen = r.u32()?;
-            if vlen > MAX_PAYLOAD {
-                return Err(CodecError::Oversize(vlen));
-            }
-            Frame::Sake(SakeMessage::RevealV0 {
-                v0: r.take(vlen as usize)?.to_vec(),
-            })
-        }
-        K_SAKE_DEV_REVEAL0 => Frame::Sake(SakeMessage::DeviceReveal0 { w0: r.arr32()? }),
-        K_CHANNEL => {
-            let seq = r.u64()?;
-            let addr = r.u32()?;
-            let confidential = match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(CodecError::BadField("confidential flag")),
-            };
-            let mac = r.arr16()?;
-            let blen = r.u32()?;
-            if blen > MAX_PAYLOAD {
-                return Err(CodecError::Oversize(blen));
-            }
-            let body = r.take(blen as usize)?.to_vec();
-            Frame::Channel(Wire {
-                seq,
-                addr,
-                body,
-                confidential,
-                mac,
-            })
-        }
+        K_SAKE_REVEAL_V1 => Frame::Sake(SakeMessage::RevealV1 { v1: r.fixed()? }),
+        K_SAKE_DEV_REVEAL1 => Frame::Sake(SakeMessage::DeviceReveal1 {
+            w1: r.fixed()?,
+            k: r.bytes()?,
+            mac_k: r.fixed()?,
+        }),
+        K_SAKE_REVEAL_V0 => Frame::Sake(SakeMessage::RevealV0 { v0: r.bytes()? }),
+        K_SAKE_DEV_REVEAL0 => Frame::Sake(SakeMessage::DeviceReveal0 { w0: r.fixed()? }),
+        K_CHANNEL => Frame::Channel(Wire {
+            seq: r.u64()?,
+            addr: r.u32()?,
+            confidential: read_flag(&mut r, "confidential flag")?,
+            mac: r.fixed()?,
+            body: r.bytes()?,
+        }),
         K_CHALLENGE => {
             let round = r.u64()?;
             let count = r.u32()?;
             if count > MAX_PAYLOAD / 16 {
                 return Err(CodecError::Oversize(count));
             }
-            let mut challenges = Vec::with_capacity(count as usize);
+            let mut challenges = Vec::with_capacity((count as usize).min(r.remaining() / 16));
             for _ in 0..count {
-                challenges.push(r.arr16()?);
+                challenges.push(r.fixed()?);
             }
             Frame::Challenge { round, challenges }
         }
@@ -504,133 +478,39 @@ pub fn decode(bytes: &[u8]) -> Result<Frame, CodecError> {
             }
         }
         K_SAKE_COMMIT_TIMED => Frame::SakeCommitTimed {
-            w2: r.arr32()?,
-            mac: r.arr16()?,
+            w2: r.fixed()?,
+            mac: r.fixed()?,
             measured_cycles: r.u64()?,
         },
-        K_LINK_NONCE => Frame::LinkNonce { nonce: r.arr16()? },
-        K_ENROLL => Frame::Enroll { device: r.name()? },
+        K_LINK_NONCE => Frame::LinkNonce { nonce: r.fixed()? },
+        K_ENROLL => Frame::Enroll {
+            device: read_name(&mut r)?,
+        },
         K_HELLO => Frame::Hello {
-            device: r.name()?,
-            nonce: r.arr16()?,
+            device: read_name(&mut r)?,
+            nonce: r.fixed()?,
             resume_from: r.u64()?,
-            mac: r.arr16()?,
+            mac: r.fixed()?,
         },
         K_HELLO_ACK => Frame::HelloAck {
-            nonce: r.arr16()?,
-            mac: r.arr16()?,
+            nonce: r.fixed()?,
+            mac: r.fixed()?,
         },
         K_HEARTBEAT => Frame::Heartbeat {
             seq: r.u64()?,
-            echo: match r.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(CodecError::BadField("heartbeat echo flag")),
-            },
+            echo: read_flag(&mut r, "heartbeat echo flag")?,
         },
         K_QUORUM_VOTE => Frame::QuorumVote {
             verifier: r.u16()?,
-            device: r.name()?,
+            device: read_name(&mut r)?,
             round: r.u64()?,
             vote: vote_from_byte(r.u8()?)?,
-            mac: r.arr16()?,
+            mac: r.fixed()?,
         },
-        K_SAMPLING_PLAN => {
-            let epoch = r.u64()?;
-            let coverage_per_mille = r.u32()?;
-            if coverage_per_mille > 1000 {
-                return Err(CodecError::BadField("coverage per-mille"));
-            }
-            let seed = r.u64()?;
-            let count = r.u32()?;
-            // Each selected name costs at least its 2-byte length prefix.
-            if count > MAX_PAYLOAD / 2 {
-                return Err(CodecError::Oversize(count));
-            }
-            let mut selected = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                selected.push(r.name()?);
-            }
-            Frame::SamplingPlan {
-                epoch,
-                coverage_per_mille,
-                seed,
-                selected,
-            }
-        }
         other => return Err(CodecError::BadKind(other)),
     };
     r.finish()?;
     Ok(frame)
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        self.take(8)?
-            .try_into()
-            .map(u64::from_le_bytes)
-            .map_err(|_| CodecError::Truncated)
-    }
-
-    fn arr16(&mut self) -> Result<[u8; 16], CodecError> {
-        self.take(16)?.try_into().map_err(|_| CodecError::Truncated)
-    }
-
-    fn arr32(&mut self) -> Result<[u8; 32], CodecError> {
-        self.take(32)?.try_into().map_err(|_| CodecError::Truncated)
-    }
-
-    fn name(&mut self) -> Result<String, CodecError> {
-        let len = self.u16()? as usize;
-        if len > MAX_NAME {
-            return Err(CodecError::Oversize(len as u32));
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadField("device name"))
-    }
-
-    fn finish(&self) -> Result<(), CodecError> {
-        if self.remaining() != 0 {
-            return Err(CodecError::Trailing(self.remaining()));
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -733,18 +613,6 @@ mod tests {
                 mac: [0x5A; 16],
             });
         }
-        roundtrip(Frame::SamplingPlan {
-            epoch: 9,
-            coverage_per_mille: 250,
-            seed: 0xFEED,
-            selected: vec!["gpu-00".to_string(), "gpu-03".to_string()],
-        });
-        roundtrip(Frame::SamplingPlan {
-            epoch: 0,
-            coverage_per_mille: 1000,
-            seed: 0,
-            selected: vec![],
-        });
     }
 
     #[test]
@@ -782,29 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn sampling_plan_bad_coverage_and_oversize_count_rejected() {
-        let bytes = encode(&Frame::SamplingPlan {
-            epoch: 1,
-            coverage_per_mille: 500,
-            seed: 2,
-            selected: vec!["gpu-00".to_string()],
-        });
-        // Coverage above 1000‰.
-        let cov_off = HEADER_BYTES + 8;
-        let mut bad = bytes.clone();
-        bad[cov_off..cov_off + 4].copy_from_slice(&1001u32.to_le_bytes());
-        assert_eq!(
-            decode(&bad),
-            Err(CodecError::BadField("coverage per-mille"))
-        );
-        // A selected-count field claiming half the maximum payload.
-        let count_off = HEADER_BYTES + 20;
-        let mut bad = bytes.clone();
-        bad[count_off..count_off + 4].copy_from_slice(&(MAX_PAYLOAD / 2 + 1).to_le_bytes());
-        assert!(matches!(decode(&bad), Err(CodecError::Oversize(_))));
-    }
-
-    #[test]
     fn oversize_name_and_bad_flags_rejected() {
         // A Hello whose name-length field claims more than MAX_NAME.
         let mut bytes = encode(&Frame::Hello {
@@ -813,7 +658,9 @@ mod tests {
             resume_from: 0,
             mac: [0; 16],
         });
-        bytes[HEADER_BYTES..HEADER_BYTES + 2].copy_from_slice(&(MAX_NAME as u16 + 1).to_le_bytes());
+        let mut len = Vec::new();
+        canon::put_u16(&mut len, MAX_NAME as u16 + 1);
+        bytes[HEADER_BYTES..HEADER_BYTES + 2].copy_from_slice(&len);
         assert!(matches!(decode(&bytes), Err(CodecError::Oversize(_))));
 
         // Non-UTF-8 name bytes.
@@ -873,8 +720,163 @@ mod tests {
             mac_k: [0; 16],
         }));
         let klen_off = HEADER_BYTES + 32;
-        bytes[klen_off..klen_off + 4].copy_from_slice(&(256u32 << 20).to_le_bytes());
+        let mut klen = Vec::new();
+        canon::put_u32(&mut klen, 256 << 20);
+        bytes[klen_off..klen_off + 4].copy_from_slice(&klen);
         assert!(matches!(decode(&bytes), Err(CodecError::Oversize(_))));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact bytes of one frame of every kind, of both MAC
+    /// transcripts and of the enclave-sealed calibration blob. Peers,
+    /// recorded MACs and sealed stores depend on these layouts, so a
+    /// codec change must leave every line unchanged.
+    #[test]
+    fn wire_and_transcript_bytes_are_pinned() {
+        let frames = [
+            Frame::Sake(SakeMessage::Challenge { v2: [0x01; 32] }),
+            Frame::Sake(SakeMessage::Commit {
+                w2: [0x02; 32],
+                mac: [0x03; 16],
+            }),
+            Frame::Sake(SakeMessage::RevealV1 { v1: [0x04; 32] }),
+            Frame::Sake(SakeMessage::DeviceReveal1 {
+                w1: [0x05; 32],
+                k: vec![0x06, 0x07, 0x08],
+                mac_k: [0x09; 16],
+            }),
+            Frame::Sake(SakeMessage::RevealV0 {
+                v0: vec![0x0A, 0x0B],
+            }),
+            Frame::Sake(SakeMessage::DeviceReveal0 { w0: [0x0C; 32] }),
+            Frame::Channel(Wire {
+                seq: 0x0102_0304_0506_0708,
+                addr: 0x1000,
+                body: b"body".to_vec(),
+                confidential: true,
+                mac: [0x0D; 16],
+            }),
+            Frame::Challenge {
+                round: 3,
+                challenges: vec![[0x0E; 16], [0x0F; 16]],
+            },
+            Frame::Response {
+                round: 4,
+                checksum: [1, 2, 3, 4, 5, 6, 7, 0xDEAD_BEEF],
+                measured_cycles: 12_345,
+            },
+            Frame::SakeCommitTimed {
+                w2: [0x11; 32],
+                mac: [0x12; 16],
+                measured_cycles: 987_654,
+            },
+            Frame::LinkNonce { nonce: [0x13; 16] },
+            Frame::Enroll {
+                device: "gpu-a".to_string(),
+            },
+            Frame::Hello {
+                device: "gpu-a".to_string(),
+                nonce: [0x14; 16],
+                resume_from: 17,
+                mac: [0x15; 16],
+            },
+            Frame::HelloAck {
+                nonce: [0x16; 16],
+                mac: [0x17; 16],
+            },
+            Frame::Heartbeat { seq: 9, echo: true },
+            Frame::QuorumVote {
+                verifier: 3,
+                device: "gpu-07".to_string(),
+                round: 42,
+                vote: StageVerdict::TooSlow,
+                mac: [0x18; 16],
+            },
+        ];
+        let mut got: Vec<String> = frames.iter().map(|f| hex(&encode(f))).collect();
+        got.push(hex(&crate::quorum::vote_message(
+            3,
+            "gpu-07",
+            42,
+            StageVerdict::TooSlow,
+        )));
+        got.push(hex(&crate::tcp::hello_transcript(
+            b"sage-hello",
+            "gpu-a",
+            &[0x14; 16],
+            17,
+        )));
+        got.push(hex(&crate::quorum::derive_vote_key(0x51D, 2)));
+        got.push(hex(&sealed_calibration()));
+        let want = [
+            // SAKE messages, 0x01-0x06.
+            "e55a0101200000000101010101010101010101010101010101010101010101010101010101010101",
+            "e55a010230000000020202020202020202020202020202020202020202020202020202020202020203030303030303030303030303030303",
+            "e55a0103200000000404040404040404040404040404040404040404040404040404040404040404",
+            "e55a01043700000005050505050505050505050505050505050505050505050505050505050505050300000006070809090909090909090909090909090909",
+            "e55a010506000000020000000a0b",
+            "e55a0106200000000c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c",
+            // Channel, challenge, response.
+            "e55a011025000000080706050403020100100000010d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d04000000626f6479",
+            "e55a01202c0000000300000000000000020000000e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f",
+            "e55a012130000000040000000000000001000000020000000300000004000000050000000600000007000000efbeadde3930000000000000",
+            // Timed commit and the link frames.
+            "e55a01073800000011111111111111111111111111111111111111111111111111111111111111111212121212121212121212121212121206120f0000000000",
+            "e55a01301000000013131313131313131313131313131313",
+            "e55a01310700000005006770752d61",
+            "e55a01322f00000005006770752d6114141414141414141414141414141414110000000000000015151515151515151515151515151515",
+            "e55a0133200000001616161616161616161616161616161617171717171717171717171717171717",
+            "e55a013409000000090000000000000001",
+            // Quorum vote.
+            "e55a014023000000030006006770752d30372a00000000000000d218181818181818181818181818181818",
+            // Vote MAC input, hello MAC input, a vote key, sealed calibration.
+            "736167652d71756f72756d2d766f7465030006006770752d30372a0000000000000002",
+            "736167652d68656c6c6f05006770752d61141414141414141414141414141414141100000000000000",
+            "92f8d15296ae20344514e88ce9506258",
+            "00000000004a9340000000000000194000000000000004401000000000000000",
+        ];
+        assert_eq!(got.len(), want.len());
+        for (i, (got, want)) in got.iter().zip(want).enumerate() {
+            assert_eq!(got, want, "pinned line {i} changed");
+        }
+    }
+
+    /// The plaintext a verifier seals for one fixed calibration.
+    fn sealed_calibration() -> Vec<u8> {
+        use sage::verifier::Verifier;
+        use sage::{Calibration, GpuSession};
+        use sage_gpu_sim::{Device, DeviceConfig};
+        use sage_sgx_sim::SgxPlatform;
+
+        let session = GpuSession::install_modeled(
+            Device::new(DeviceConfig::sim_nano()),
+            &sage_vf::VfParams::fleet_tiny(),
+            0xF1EE7,
+            10_000,
+        )
+        .expect("install modeled VF");
+        let enclave = SgxPlatform::new([7u8; 16]).launch(b"pin", &mut |buf: &mut [u8]| {
+            buf.fill(0x5A);
+        });
+        let mut verifier = Verifier::new(
+            enclave,
+            session.build().clone(),
+            sage_crypto::DhGroup::test_group(),
+        );
+        verifier.set_calibration(Calibration {
+            t_avg: 1234.5,
+            sigma: 6.25,
+            runs: 16,
+            k_sigma: 2.5,
+        });
+        assert!(verifier.seal_calibration());
+        let blob = verifier.enclave.unseal("calibration").expect("sealed");
+        // The blob must also restore the calibration it sealed.
+        assert!(verifier.unseal_calibration());
+        blob
     }
 
     #[test]

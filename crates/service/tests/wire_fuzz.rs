@@ -12,13 +12,22 @@ use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::time::{Duration, Instant};
 
+use sage::agent::DeviceAgent;
 use sage::channel::Wire;
+use sage::multi::FleetMember;
 use sage::sake::SakeMessage;
+use sage::GpuSession;
 use sage_crypto::DhGroup;
-use sage_evidence::StageVerdict;
+use sage_evidence::{FreshnessPolicy, StageVerdict};
+use sage_gpu_sim::{Device, DeviceConfig};
 use sage_service::tcp::{Conn, FrameStream, StreamError, MAX_FRAME_BYTES};
 use sage_service::wire::{decode, encode};
-use sage_service::{AttestationService, Frame, LinkProfile, ServiceConfig, SimNet, SplitMix64};
+use sage_service::{
+    AttestationService, Frame, LinkProfile, QuorumConfig, ServiceConfig, SimNet, SnapshotError,
+    SplitMix64,
+};
+use sage_sgx_sim::SgxPlatform;
+use sage_vf::VfParams;
 
 fn arr16(rng: &mut SplitMix64) -> [u8; 16] {
     let mut a = [0u8; 16];
@@ -60,7 +69,7 @@ fn verdict(rng: &mut SplitMix64) -> StageVerdict {
 
 /// A random valid frame covering every variant.
 fn random_frame(rng: &mut SplitMix64) -> Frame {
-    match rng.below(11) {
+    match rng.below(10) {
         0 => Frame::Sake(SakeMessage::Challenge { v2: arr32(rng) }),
         1 => Frame::Sake(SakeMessage::Commit {
             w2: arr32(rng),
@@ -96,18 +105,12 @@ fn random_frame(rng: &mut SplitMix64) -> Frame {
                 measured_cycles: rng.next_u64(),
             }
         }
-        9 => Frame::QuorumVote {
+        _ => Frame::QuorumVote {
             verifier: rng.next_u64() as u16,
             device: ascii_name(rng, 24),
             round: rng.next_u64(),
             vote: verdict(rng),
             mac: arr16(rng),
-        },
-        _ => Frame::SamplingPlan {
-            epoch: rng.next_u64(),
-            coverage_per_mille: (rng.next_u64() % 1001) as u32,
-            seed: rng.next_u64(),
-            selected: (0..rng.below(6)).map(|_| ascii_name(rng, 16)).collect(),
         },
     }
 }
@@ -141,8 +144,8 @@ fn decode_never_panics_on_structured_garbage() {
     // into the per-kind payload parsers.
     let mut rng = SplitMix64::new(0x57A6_E001);
     let kinds = [
-        0x00u8, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x10, 0x11, 0x20, 0x21, 0x22, 0x40, 0x41,
-        0xFF,
+        0x00u8, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x10, 0x11, 0x20, 0x21, 0x22, 0x30, 0x31,
+        0x32, 0x33, 0x34, 0x40, 0x41, 0xFF,
     ];
     for _ in 0..20_000 {
         let mut buf = Vec::new();
@@ -352,22 +355,95 @@ fn oversize_prefix_is_rejected_without_buffering() {
     }
 }
 
+/// A snapshot with every section populated: four modeled devices one
+/// epoch seal in, rounds in flight, and a 4-replica quorum.
+fn populated_snapshot() -> Vec<u8> {
+    let cfg = ServiceConfig {
+        reattest_interval: 10_000,
+        epoch_interval: 30_000,
+        freshness: FreshnessPolicy {
+            stale_after: 25_000,
+            degraded_after: 50_000,
+        },
+        quorum: QuorumConfig {
+            verifiers: 4,
+            seed: 0x51D,
+        },
+        ..ServiceConfig::default()
+    };
+    let mut svc = AttestationService::new(
+        cfg,
+        DhGroup::test_group(),
+        SimNet::new(3, LinkProfile::default()),
+    );
+    for i in 0..4u8 {
+        let session = GpuSession::install_modeled(
+            Device::new(DeviceConfig::sim_nano()),
+            &VfParams::fleet_tiny(),
+            0xF1EE7,
+            10_000,
+        )
+        .expect("install modeled VF");
+        let mut rng = SplitMix64::new(u64::from(i) + 1);
+        let mut member = FleetMember::new(
+            session,
+            DeviceAgent::new(Box::new(move |buf: &mut [u8]| {
+                buf.fill_with(|| rng.next_u64() as u8)
+            })),
+        );
+        member.name = format!("gpu-{i}");
+        let mut rng = SplitMix64::new(u64::from(i) + 101);
+        let enclave = SgxPlatform::new([7u8; 16]).launch(b"fuzz", &mut |buf: &mut [u8]| {
+            buf.fill_with(|| rng.next_u64() as u8)
+        });
+        svc.join(member, enclave);
+    }
+    svc.run_until(40_000);
+    while svc.outstanding_rounds() == 0 {
+        let next = svc.next_event_at().expect("a live fleet has work");
+        svc.run_until(next);
+    }
+    assert_eq!(svc.sealed_epochs().len(), 1, "one seal in, mid-epoch");
+    assert!(svc
+        .evidence_of("gpu-0")
+        .is_some_and(|c| !c.records().is_empty()));
+    assert!(svc.quorum().is_some());
+    svc.snapshot()
+}
+
 #[test]
 fn snapshot_restore_never_panics_on_garbage() {
     let mut rng = SplitMix64::new(0x5AFE_5AFE);
-    // A real snapshot to mutate, from an empty service (no endpoints to
-    // hand back, so restore on the unmutated bytes succeeds trivially).
-    let svc = AttestationService::new(
+    // Two real snapshots to mutate. The empty service's restores on its
+    // unmutated bytes (it has no endpoints to hand back); the populated
+    // one decodes to the end and then finds its endpoints missing, so
+    // every section's decoder sees the mutations.
+    let empty = AttestationService::new(
         ServiceConfig::default(),
         DhGroup::test_group(),
         SimNet::new(1, LinkProfile::default()),
-    );
-    let valid = svc.snapshot();
-    for i in 0..5_000u64 {
-        let mut buf = if i % 2 == 0 {
-            bytes(&mut rng, 160)
-        } else {
-            valid.clone()
+    )
+    .snapshot();
+    let populated = populated_snapshot();
+    let restore = |buf: &[u8]| {
+        AttestationService::restore(
+            ServiceConfig::default(),
+            DhGroup::test_group(),
+            SimNet::new(2, LinkProfile::default()),
+            buf,
+            Vec::new(),
+        )
+    };
+    assert!(restore(&empty).is_ok());
+    assert!(matches!(
+        restore(&populated),
+        Err(SnapshotError::MissingEndpoint(name)) if name.starts_with("gpu-")
+    ));
+    for i in 0..6_000u64 {
+        let mut buf = match i % 3 {
+            0 => bytes(&mut rng, 160),
+            1 => empty.clone(),
+            _ => populated.clone(),
         };
         for _ in 0..=rng.below(4) {
             match rng.below(3) {
@@ -385,13 +461,6 @@ fn snapshot_restore_never_panics_on_garbage() {
                 }
             }
         }
-        let net = SimNet::new(2, LinkProfile::default());
-        let _ = AttestationService::restore(
-            ServiceConfig::default(),
-            DhGroup::test_group(),
-            net,
-            &buf,
-            Vec::new(),
-        );
+        let _ = restore(&buf);
     }
 }

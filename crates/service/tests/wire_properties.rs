@@ -84,20 +84,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 vote,
                 mac,
             }),
-        (
-            any::<u64>(),
-            0u32..=1000,
-            any::<u64>(),
-            prop::collection::vec(arb_name(), 0..6)
-        )
-            .prop_map(
-                |(epoch, coverage_per_mille, seed, selected)| Frame::SamplingPlan {
-                    epoch,
-                    coverage_per_mille,
-                    seed,
-                    selected,
-                }
-            ),
     ]
 }
 

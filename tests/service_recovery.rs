@@ -24,8 +24,8 @@ use sage_repro::crypto::{DhGroup, EntropySource};
 use sage_repro::evidence::{verify_report, FreshnessPolicy};
 use sage_repro::gpu::{Device, DeviceConfig, DeviceFault, FaultPlan};
 use sage_repro::service::{
-    AttestationService, DeviceState, EventKind, FailReason, LinkProfile, Policy, QuorumConfig,
-    ServiceConfig, SimNet, SnapshotError, VerifierBehavior,
+    AttestationService, DeviceState, EventKind, FailReason, Fault, LinkProfile, Policy,
+    QuorumConfig, ServiceConfig, SimNet, SnapshotError, VerifierBehavior, VERIFIER_NODE,
 };
 use sage_repro::sgx::{Enclave, SgxPlatform};
 use sage_repro::telemetry::{MetricValue, Registry};
@@ -125,14 +125,38 @@ fn run_to_inflight_round(svc: &mut AttestationService<SimNet>) -> u64 {
 
 #[test]
 fn crash_restart_resumes_with_identical_history() {
-    for seed in [11u64, 12, 13] {
+    // With `drop_response`, the in-flight round's response is lost after
+    // the crash, so only the restored deadline timer can end that round.
+    for (seed, drop_response) in [
+        (11u64, false),
+        (12, false),
+        (13, false),
+        (11, true),
+        (12, true),
+    ] {
         // Scout: find a crash point with a round in flight.
         let mut scout = two_device_fleet(seed);
         let crash_at = run_to_inflight_round(&mut scout);
         let end_at = crash_at + 150_000;
+        let in_flight = scout.log().events().last().unwrap().device.clone();
+        let node = scout
+            .statuses()
+            .into_iter()
+            .find(|s| s.name == in_flight)
+            .unwrap()
+            .node;
+        let lost_response = Fault::DropNext {
+            src: node,
+            dst: VERIFIER_NODE,
+            remaining: 1,
+        };
 
         // Universe A: never crashes.
         let mut a = two_device_fleet(seed);
+        a.run_until(crash_at);
+        if drop_response {
+            a.transport_mut().inject(lost_response);
+        }
         a.run_until(end_at);
 
         // Universe B: identical twin, crashed at `crash_at` and restored
@@ -140,12 +164,33 @@ fn crash_restart_resumes_with_identical_history() {
         let mut b = two_device_fleet(seed);
         b.run_until(crash_at);
         let snap = b.snapshot();
-        let (net, endpoints) = b.into_endpoints(); // control plane dies here
+        let (mut net, endpoints) = b.into_endpoints(); // control plane dies here
+        if drop_response {
+            net.inject(lost_response);
+        }
         let mut b =
             AttestationService::restore(cfg(), DhGroup::test_group(), net, &snap, endpoints)
                 .expect("snapshot restores against its own endpoints");
         assert_eq!(b.now(), crash_at, "seed {seed}: clock resumes");
         b.run_until(end_at);
+        if drop_response {
+            assert_eq!(b.transport().stats().fault_dropped, 1, "seed {seed}");
+            let timed_out = b.log().events().iter().any(|e| {
+                e.at > crash_at
+                    && e.device == in_flight
+                    && matches!(
+                        e.kind,
+                        EventKind::RoundFailed {
+                            reason: FailReason::Timeout,
+                            ..
+                        }
+                    )
+            });
+            assert!(
+                timed_out,
+                "seed {seed}: the restored deadline must time out the lost round"
+            );
+        }
 
         assert_eq!(
             a.snapshot_json(),
