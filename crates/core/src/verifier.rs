@@ -151,10 +151,11 @@ impl Verifier {
     }
 
     /// Turns on the precomputed-round fast path: a [`ChallengeBank`]
-    /// stocked by `cfg.workers` background threads (or synchronously when
-    /// `cfg.workers == 0` — the deterministic mode). Challenge bytes come
-    /// from an AES-CTR generator seeded once from the enclave DRBG, so
-    /// randomness still originates inside the enclave.
+    /// stocked by [`Verifier::prefill_rounds`] and refilled inline by
+    /// blocking takes (`cfg.workers` is ignored; the bank starts no
+    /// thread). Challenge bytes come from an AES-CTR generator seeded
+    /// once from the enclave DRBG, so randomness still originates inside
+    /// the enclave.
     ///
     /// After this, [`Verifier::prepare_round`] serves `(challenges,
     /// expected)` pairs whose replay already happened off the critical
@@ -183,8 +184,8 @@ impl Verifier {
     }
 
     /// Synchronously precomputes up to `n` rounds into the bank (no-op
-    /// without the fast path). With `workers == 0` this is the only way
-    /// stock appears — deterministic tests and the offline phase of
+    /// without the fast path). This is the only way stock appears ahead
+    /// of a take — deterministic tests and the offline phase of
     /// benchmarks use it.
     ///
     /// Every `(round, block)` replay is scheduled on the shared
@@ -230,11 +231,12 @@ impl Verifier {
         (self.generate_challenges(), None)
     }
 
-    /// Like [`Verifier::prepare_round`], but waits for (or synchronously
-    /// computes) bank stock instead of falling back, so the expected
-    /// checksum is always attached when the fast path is enabled. This
-    /// keeps the consumed challenge sequence deterministic regardless of
-    /// refill-worker timing — the property the service layer and
+    /// Like [`Verifier::prepare_round`], but computes the next pair on
+    /// this thread when the bank has no valid stock instead of falling
+    /// back, so the expected checksum is always attached when the fast
+    /// path is enabled. Stocked or computed, the pair is the next one in
+    /// generator order, so the consumed challenge sequence is the same
+    /// whatever the stock level — the property the service layer and
     /// calibration rely on for reproducible runs.
     pub fn prepare_round_blocking(&mut self) -> (Vec<[u8; 16]>, Option<[u32; 8]>) {
         if let Some(bank) = &self.bank {

@@ -83,24 +83,6 @@ fn precomputed_expected_is_bit_exact_with_replay() {
 }
 
 #[test]
-fn background_workers_serve_blocking_rounds() {
-    let (mut verifier, mut session) = setup();
-    verifier.enable_fast_path(BankConfig {
-        capacity: 2,
-        workers: 1,
-    });
-    verifier.calibrate(&mut session, 6).unwrap();
-    for _ in 0..3 {
-        let (ch, expected) = verifier.prepare_round_blocking();
-        let (got, measured) = session.run_checksum(&ch).unwrap();
-        verifier
-            .check_response_precomputed(expected.unwrap(), got, measured)
-            .unwrap();
-    }
-    assert_eq!(verifier.stats().accepted, 3);
-}
-
-#[test]
 fn without_fast_path_prepare_round_is_online() {
     let (mut verifier, mut session) = setup();
     verifier.calibrate(&mut session, 6).unwrap();

@@ -31,8 +31,8 @@
 //!   lifecycle state machine (`Enrolled → Attesting → Trusted →
 //!   Degraded → Quarantined/Revoked`), deadline-driven re-attestation
 //!   scheduling, and most-powerful-first roster maintenance across
-//!   join/leave. Each step runs on the caller's thread: intake, one
-//!   inline work unit per due device, then a merge in one canonical
+//!   join/leave. Each step runs on the caller's thread: one intake,
+//!   then phases that apply their effects in place, in one canonical
 //!   order;
 //! - [`snapshot`] — crash-safe recovery: a versioned binary snapshot of
 //!   the scheduler state plus [`snapshot::Endpoint`] hand-back, so a

@@ -24,8 +24,9 @@
 //!
 //! The original engine scanned the whole roster four times per step
 //! (inbox pump, verdicts, deadlines, due rounds) — O(fleet) per step,
-//! which capped the control plane at a handful of devices. The engine
-//! now runs in three stages per step, all on the caller's thread:
+//! which capped the control plane at a handful of devices. A step now
+//! runs on the caller's thread as one intake followed by phases that
+//! apply their effects in place:
 //!
 //! 1. **Intake** — one batched [`Transport::drain_due`] empties the
 //!    network of everything due at the current tick, and a hierarchical
@@ -33,19 +34,17 @@
 //!    freshness timer. Both are O(due events), not O(fleet): idle
 //!    devices cost nothing. Routing a frame to its device is one
 //!    `NodeId → slot` map lookup (FxHash, O(1)) instead of a roster
-//!    scan.
-//! 2. **Units** — each device touched this tick gets one *work unit*
-//!    that runs its per-device phases in the canonical order (inbound
-//!    frames, response verdicts, deadline expiry, due round start)
-//!    against its live state, buffering every externally visible effect
-//!    (events, sends, timer requests). Units run inline, one device
-//!    after another.
-//! 3. **Merge** — buffered effects are applied in one canonical order:
-//!    device replies in roster order, verdicts in global arrival order
-//!    (each response is seq-stamped at intake), deadline expiries and
-//!    round starts in roster order, then epoch seals and freshness
-//!    transitions. That order, not the order units ran in, fixes the
-//!    event history, the evidence chains and the snapshot bytes.
+//!    scan. Intake only routes and notes which devices the tick
+//!    touches.
+//! 2. **Phases**, in one canonical order: device-bound frames
+//!    roster-major (arrival order within a device), response verdicts
+//!    in global arrival order, deadline expiries and round starts over
+//!    the touched devices in roster order, then epoch seals and
+//!    freshness transitions. Each phase checks the device's live state,
+//!    and each action's effects (events, sends, quorum ballots, timer
+//!    requests) are applied before the next action runs. That order
+//!    fixes the event history, the evidence chains and the snapshot
+//!    bytes; `tests/history_golden.rs` pins it.
 //!
 //! Timer cancellation is lazy: a stale wheel entry (the round it was
 //! armed for already resolved) pops as a no-op because every fire is
@@ -134,10 +133,11 @@ pub struct ServiceConfig {
     /// Precomputed rounds held per device (`0` disables the fast path:
     /// every round replays online).
     pub bank_capacity: usize,
-    /// Background refill threads per device bank. Keep at `1` (the
-    /// default) for deterministic runs: a single producer pushes rounds
-    /// in generator order, so the consumed challenge sequence does not
-    /// depend on thread scheduling. `0` refills synchronously on take.
+    /// Ignored: a device's bank starts no thread and refills inline on
+    /// the round start that finds it empty, in generator order. The
+    /// field stays only because the benchmark's workload table still
+    /// sets it; the next benchmark change deletes it, like
+    /// [`ServiceConfig::shards`].
     pub bank_workers: usize,
     /// Virtual ticks between fleet evidence epochs: every interval, a
     /// Merkle root over all device chain heads is sealed and logged.
@@ -194,7 +194,7 @@ impl Default for ServiceConfig {
             calibration_runs: 5,
             policy: Policy::default(),
             bank_capacity: 2,
-            bank_workers: 1,
+            bank_workers: 0,
             epoch_interval: 0,
             freshness: sage_evidence::FreshnessPolicy::disabled(),
             shards: 1,
@@ -219,6 +219,17 @@ pub(crate) struct Outstanding {
     /// relay/topology detector subtracts reported compute time from,
     /// and the start of the round latency `RoundPassed` reports.
     pub(crate) started_at: u64,
+}
+
+impl Outstanding {
+    /// How the round is judged: against the bank's precomputed
+    /// checksum, or by online replay.
+    fn path(&self) -> EvidencePath {
+        match self.expected {
+            Some(_) => EvidencePath::Precomputed,
+            None => EvidencePath::Classic,
+        }
+    }
 }
 
 pub(crate) struct ManagedDevice {
@@ -352,10 +363,9 @@ pub(crate) enum Timer {
     Fresh { slot: u32, at: u64 },
 }
 
-/// A timer a work unit asks to arm. Applied (and re-validated against
-/// the device's live schedule) at merge time, after every phase has
-/// run — so a same-step cascade that supersedes the request simply
-/// invalidates it.
+/// A timer an action asks to arm. Applied by `flush_effects` only if the
+/// device's live schedule still wants it — so an action that supersedes
+/// the request before it is flushed simply invalidates it.
 #[derive(Clone, Copy, Debug)]
 enum TimerReq {
     Action(u64),
@@ -363,8 +373,9 @@ enum TimerReq {
     Fresh(u64),
 }
 
-/// A verdict to put to the verifier quorum's vote — buffered like
-/// events so ballots are tallied in canonical merge order.
+/// A verdict to put to the verifier quorum's vote, tallied when its
+/// action's effects are flushed — so ballots follow the canonical phase
+/// order.
 #[derive(Clone, Copy, Debug)]
 struct VoteReq {
     round: u64,
@@ -372,41 +383,13 @@ struct VoteReq {
 }
 
 /// Effects one logical action produced: events to record (in order),
-/// timers to arm, and quorum ballots to tally. Buffered inside work
-/// units, flushed serially in canonical order by the merge stage.
+/// timers to arm, and quorum ballots to tally. The step flushes each
+/// action's effects before it runs the next action.
 #[derive(Default)]
 struct Effects {
     events: Vec<EventKind>,
     timers: Vec<TimerReq>,
     votes: Vec<VoteReq>,
-}
-
-/// Everything one device is due to process this step, in per-device
-/// order.
-struct DevWork {
-    slot: usize,
-    rpos: u32,
-    /// Inbound frames for the device node, arrival order.
-    frames: Vec<Envelope>,
-    /// Responses addressed to the verifier, each stamped with its
-    /// global arrival sequence (the merge key).
-    responses: Vec<(u64, Envelope)>,
-}
-
-/// The buffered output of one work unit.
-struct DevEffects {
-    slot: usize,
-    rpos: u32,
-    /// Device replies to forward, in handle order: `(send_at, env)`.
-    replies: Vec<(u64, Envelope)>,
-    /// One effect group per processed response, keyed by arrival seq.
-    verdicts: Vec<(u64, Effects)>,
-    /// The deadline-expiry effect group, if the deadline passed.
-    deadline: Option<Effects>,
-    /// The round-start effect group and the challenge to send, if a
-    /// round came due (the envelope is `None` when the start bailed —
-    /// wrong state or no threshold).
-    start: Option<(Effects, Option<Envelope>)>,
 }
 
 /// The attestation control plane.
@@ -444,11 +427,8 @@ pub struct AttestationService<T: Transport> {
     pub(crate) by_name: FxHashMap<String, u32>,
     /// Slots in most-powerful-first order (the canonical event order).
     pub(crate) roster: Vec<u32>,
-    /// `slot → position in roster` (the per-device merge sort key).
+    /// `slot → position in roster` (the step's per-device order key).
     pub(crate) roster_pos: Vec<u32>,
-    /// Per-slot scratch: the device's index into the current step's
-    /// work list, `u32::MAX` when absent. Reset after every step.
-    pub(crate) work_of: Vec<u32>,
     /// Reused pop buffer for the timer wheel.
     pub(crate) timer_scratch: Vec<(u64, Timer)>,
     /// The verifier-replica quorum (`Some` iff `cfg.quorum.verifiers >
@@ -480,7 +460,6 @@ impl<T: Transport> AttestationService<T> {
             by_name: FxHashMap::default(),
             roster: Vec::new(),
             roster_pos: Vec::new(),
-            work_of: Vec::new(),
             timer_scratch: Vec::new(),
             quorum: VerifierSet::from_config(&cfg.quorum),
             archive: None,
@@ -715,7 +694,7 @@ impl<T: Transport> AttestationService<T> {
             // calibration replays already overlap the device runs.
             verifier.enable_fast_path(sage_vf::BankConfig {
                 capacity: self.cfg.bank_capacity,
-                workers: self.cfg.bank_workers,
+                workers: 0,
             });
         }
         if let Some(reg) = &self.registry {
@@ -800,7 +779,6 @@ impl<T: Transport> AttestationService<T> {
         });
         self.by_node.insert(id, slot as u32);
         self.by_name.entry(name).or_insert(slot as u32);
-        self.work_of.push(u32::MAX);
         self.insert_roster(slot);
         if let Some(t) = next_action_at {
             self.timers.insert(t, Timer::Action(slot as u32));
@@ -907,13 +885,12 @@ impl<T: Transport> AttestationService<T> {
     }
 
     /// Rebuilds every piece of derived scheduling state — roster order,
-    /// node and name indexes, per-step scratch, and the timer wheel —
+    /// node and name indexes, and the timer wheel —
     /// from the devices' durable fields. The restore path calls this
     /// after reconstructing `devices`; the wheel itself is never
     /// snapshotted.
     pub(crate) fn rebuild_schedule(&mut self) {
         self.sort_roster();
-        self.work_of = vec![u32::MAX; self.devices.len()];
         self.by_node.clear();
         self.by_name.clear();
         self.timers = TimerWheel::new();
@@ -965,8 +942,8 @@ impl<T: Transport> AttestationService<T> {
         self.run_until(self.now + ticks);
     }
 
-    /// Processes everything due at the current virtual time: batched
-    /// intake, per-device work units, then the canonical-order merge.
+    /// Processes everything due at the current virtual time: one batched
+    /// intake, then each phase applied in place, in the canonical order.
     /// See the module docs.
     fn step(&mut self) {
         let now = self.now;
@@ -977,103 +954,115 @@ impl<T: Transport> AttestationService<T> {
         let mut due = std::mem::take(&mut self.timer_scratch);
         self.timers.pop_due(now, &mut due);
 
-        let mut works: Vec<DevWork> = Vec::new();
+        // Frames route by one map lookup; unroutable frames (unknown
+        // node) are dropped: fail closed. Responses keep their slot and
+        // arrival order; device-bound frames, touched devices (every one
+        // a frame or a popped timer names) and freshness fires are keyed
+        // by roster position, the order the later phases walk.
+        let mut frames: Vec<(u32, Envelope)> = Vec::new();
+        let mut responses: Vec<(usize, Envelope)> = Vec::new();
+        let mut touched: Vec<u32> = Vec::new();
         let mut fresh_fires: Vec<u32> = Vec::new();
-
-        // Mark-or-get the work unit for a slot (work_of doubles as the
-        // dedup map; reset below).
-        macro_rules! work_for {
-            ($slot:expr) => {{
-                let slot: usize = $slot;
-                if self.work_of[slot] == u32::MAX {
-                    self.work_of[slot] = works.len() as u32;
-                    works.push(DevWork {
-                        slot,
-                        rpos: self.roster_pos[slot],
-                        frames: Vec::new(),
-                        responses: Vec::new(),
-                    });
-                }
-                &mut works[self.work_of[slot] as usize]
-            }};
-        }
-
-        // Frames route by one map lookup; responses carry their global
-        // arrival seq so the merge can restore arrival order across
-        // devices. Unroutable frames (unknown node) are dropped: fail
-        // closed.
-        for (seq, env) in arrivals.into_iter().enumerate() {
+        for env in arrivals {
             if env.dst == VERIFIER_NODE {
                 if let Some(&slot) = self.by_node.get(&env.src) {
-                    work_for!(slot as usize).responses.push((seq as u64, env));
+                    touched.push(self.roster_pos[slot as usize]);
+                    responses.push((slot as usize, env));
                 }
             } else if let Some(&slot) = self.by_node.get(&env.dst) {
-                work_for!(slot as usize).frames.push(env);
+                let rpos = self.roster_pos[slot as usize];
+                touched.push(rpos);
+                frames.push((rpos, env));
             }
         }
         for &(_, timer) in &due {
             match timer {
+                // The pop only marks the device; the phases re-check the
+                // live condition, so stale entries are no-ops.
                 Timer::Action(s) | Timer::Deadline(s) => {
-                    // The pop only marks the device; the unit re-checks
-                    // the live condition, so stale entries are no-ops.
-                    let _ = work_for!(s as usize);
+                    touched.push(self.roster_pos[s as usize]);
                 }
                 Timer::Fresh { slot, at } => {
                     let d = &mut self.devices[slot as usize];
                     if d.next_fresh_at == Some(at) {
                         d.next_fresh_at = None;
-                        fresh_fires.push(slot);
+                        fresh_fires.push(self.roster_pos[slot as usize]);
                     }
                 }
             }
         }
         due.clear();
         self.timer_scratch = due;
-        for w in &works {
-            self.work_of[w.slot] = u32::MAX;
-        }
+        touched.sort_unstable();
+        touched.dedup();
 
-        // ---- units: per-device phases, one device at a time ----------
-        let mut effs: Vec<DevEffects> = works
-            .iter_mut()
-            .map(|w| run_unit(&self.cfg, now, &mut self.devices[w.slot], w))
-            .collect();
-
-        // ---- merge: apply effects in the canonical order -------------
-        effs.sort_unstable_by_key(|e| e.rpos);
-
-        // Phase 1 — device replies, roster-major, frame order within a
-        // device (this fixes the transport's rng draw sequence).
-        for e in &mut effs {
-            for (at, env) in e.replies.drain(..) {
-                self.net.send(at, env);
+        // Phase 1 — device-bound frames, roster-major, arrival order
+        // within a device (this fixes the transport's rng draw sequence).
+        // The sort is stable, so it keeps arrival order.
+        frames.sort_by_key(|f| f.0);
+        for (rpos, env) in frames {
+            let d = &mut self.devices[self.roster[rpos as usize] as usize];
+            if d.state == DeviceState::Revoked {
+                continue; // a revoked device is off the network
+            }
+            let Ok(frame) = wire::decode(&env.bytes) else {
+                continue; // corrupt frame: fail closed, deadline covers it
+            };
+            if let Some((send_at, reply)) = d.node.handle(now, &frame) {
+                let reply = Envelope {
+                    src: d.node.id,
+                    dst: VERIFIER_NODE,
+                    bytes: wire::encode(&reply),
+                };
+                self.net.send(send_at, reply);
             }
         }
         // Phase 2 — response verdicts in global arrival order.
-        let mut groups: Vec<(u64, u32, u32)> = Vec::new();
-        for (ei, e) in effs.iter().enumerate() {
-            for (vi, (seq, _)) in e.verdicts.iter().enumerate() {
-                groups.push((*seq, ei as u32, vi as u32));
-            }
-        }
-        groups.sort_unstable_by_key(|g| g.0);
-        for (_, ei, vi) in groups {
-            let slot = effs[ei as usize].slot;
-            let fx = std::mem::take(&mut effs[ei as usize].verdicts[vi as usize].1);
+        for (slot, env) in responses {
+            let Ok(Frame::Response {
+                round,
+                checksum,
+                measured_cycles,
+            }) = wire::decode(&env.bytes)
+            else {
+                continue;
+            };
+            let mut fx = Effects::default();
+            let d = &mut self.devices[slot];
+            core_verdict(&self.cfg, now, d, round, checksum, measured_cycles, &mut fx);
             self.flush_effects(slot, fx);
         }
-        // Phase 3 — deadline expiries, roster order.
-        for e in &mut effs {
-            if let Some(fx) = e.deadline.take() {
-                let slot = e.slot;
-                self.flush_effects(slot, fx);
+        // Phase 3 — deadline expiries, roster order, on live state (a
+        // verdict above may have consumed the outstanding round).
+        for &rpos in &touched {
+            let slot = self.roster[rpos as usize] as usize;
+            let d = &mut self.devices[slot];
+            let o = match d.outstanding.take() {
+                Some(o) if o.deadline <= now => o,
+                other => {
+                    d.outstanding = other;
+                    continue;
+                }
+            };
+            let mut fx = Effects::default();
+            if d.link_up {
+                let reason = FailReason::Timeout;
+                core_round_failed(&self.cfg, now, d, o.round, reason, 0, o.path(), &mut fx);
+            } else {
+                core_round_link_down(&self.cfg, now, d, o.round, &mut fx);
             }
+            self.flush_effects(slot, fx);
         }
-        // Phase 4 — round starts, roster order; each device records its
-        // RoundStarted before its challenge hits the wire.
-        for e in &mut effs {
-            if let Some((fx, env)) = e.start.take() {
-                let slot = e.slot;
+        // Phase 4 — due round starts, roster order, again on live state
+        // (a zero-backoff restart above cascades into a same-step start);
+        // each device records its RoundStarted before its challenge hits
+        // the wire.
+        for &rpos in &touched {
+            let slot = self.roster[rpos as usize] as usize;
+            let d = &mut self.devices[slot];
+            if d.next_action_at.is_some_and(|t| t <= now) {
+                let mut fx = Effects::default();
+                let env = core_start_round(&self.cfg, now, d, &mut fx);
                 self.flush_effects(slot, fx);
                 if let Some(env) = env {
                     self.net.send(now, env);
@@ -1082,23 +1071,22 @@ impl<T: Transport> AttestationService<T> {
         }
         self.seal_due_epochs();
         // Phase 5 — freshness boundaries, roster order.
-        fresh_fires.sort_unstable_by_key(|&s| self.roster_pos[s as usize]);
-        for slot in fresh_fires {
+        fresh_fires.sort_unstable();
+        for rpos in fresh_fires {
+            let slot = self.roster[rpos as usize] as usize;
             let mut fx = Effects::default();
-            {
-                let d = &mut self.devices[slot as usize];
-                core_refresh_freshness(&self.cfg, now, d, &mut fx);
-            }
-            self.flush_effects(slot as usize, fx);
-            self.arm_freshness(slot as usize);
+            core_refresh_freshness(&self.cfg, now, &mut self.devices[slot], &mut fx);
+            self.flush_effects(slot, fx);
+            self.arm_freshness(slot);
         }
     }
 
-    /// Applies one buffered effect group: records its events under the
-    /// device's name, then arms each requested timer *if the device's
-    /// live schedule still wants it* — a request superseded by a later
-    /// phase in the same step simply fails validation, which is what
-    /// keeps lazy cancellation consistent.
+    /// Applies one action's effects: records its events under the
+    /// device's name, tallies its quorum ballots, then arms each
+    /// requested timer *if the device's live schedule still wants it* —
+    /// a request superseded before the flush (the ballots' dispute
+    /// records append evidence first) simply fails validation, which is
+    /// what keeps lazy cancellation consistent.
     fn flush_effects(&mut self, slot: usize, fx: Effects) {
         if !fx.events.is_empty() {
             let name = self.devices[slot].node.member.name.clone();
@@ -1618,79 +1606,6 @@ impl AttestationService<crate::tcp::TcpTransport> {
     }
 }
 
-/// Runs one device's due work in the canonical per-device phase order,
-/// mutating only that device and buffering every global effect for the
-/// merge.
-fn run_unit(cfg: &ServiceConfig, now: u64, d: &mut ManagedDevice, w: &mut DevWork) -> DevEffects {
-    let mut eff = DevEffects {
-        slot: w.slot,
-        rpos: w.rpos,
-        replies: Vec::new(),
-        verdicts: Vec::new(),
-        deadline: None,
-        start: None,
-    };
-    // Phase a — inbound frames, arrival order.
-    for env in w.frames.drain(..) {
-        if d.state == DeviceState::Revoked {
-            continue; // a revoked device is off the network
-        }
-        let Ok(frame) = wire::decode(&env.bytes) else {
-            continue; // corrupt frame: fail closed, deadline covers it
-        };
-        if let Some((send_at, reply)) = d.node.handle(now, &frame) {
-            eff.replies.push((
-                send_at,
-                Envelope {
-                    src: d.node.id,
-                    dst: VERIFIER_NODE,
-                    bytes: wire::encode(&reply),
-                },
-            ));
-        }
-    }
-    // Phase b — response verdicts, arrival order (the seq carries the
-    // cross-device arrival order to the merge).
-    for (seq, env) in w.responses.drain(..) {
-        let Ok(Frame::Response {
-            round,
-            checksum,
-            measured_cycles,
-        }) = wire::decode(&env.bytes)
-        else {
-            continue;
-        };
-        let mut fx = Effects::default();
-        core_verdict(cfg, now, d, round, checksum, measured_cycles, &mut fx);
-        eff.verdicts.push((seq, fx));
-    }
-    // Phase c — deadline expiry, evaluated on the live state (a verdict
-    // above may have consumed the outstanding round).
-    if d.outstanding.as_ref().is_some_and(|o| o.deadline <= now) {
-        if let Some(o) = d.outstanding.take() {
-            let mut fx = Effects::default();
-            if d.link_up {
-                let path = match o.expected {
-                    Some(_) => EvidencePath::Precomputed,
-                    None => EvidencePath::Classic,
-                };
-                core_round_failed(cfg, now, d, o.round, FailReason::Timeout, 0, path, &mut fx);
-            } else {
-                core_round_link_down(cfg, now, d, o.round, &mut fx);
-            }
-            eff.deadline = Some(fx);
-        }
-    }
-    // Phase d — due round start, again on live state (a zero-backoff
-    // restart in phase b/c cascades into a same-step start).
-    if d.next_action_at.is_some_and(|t| t <= now) {
-        let mut fx = Effects::default();
-        let env = core_start_round(cfg, now, d, &mut fx);
-        eff.start = Some((fx, env));
-    }
-    eff
-}
-
 /// Judges one response against the device's outstanding round.
 #[allow(clippy::too_many_arguments)]
 fn core_verdict(
@@ -1725,10 +1640,7 @@ fn core_verdict(
     )
     .is_some()
     {
-        let path = match o.expected {
-            Some(_) => EvidencePath::Precomputed,
-            None => EvidencePath::Classic,
-        };
+        let path = o.path();
         core_round_failed(cfg, now, d, round, FailReason::Relay, measured, path, fx);
         return;
     }
@@ -1740,10 +1652,7 @@ fn core_verdict(
             .check_response_precomputed(expected, checksum, measured),
         None => d.verifier.check_response(&o.challenges, checksum, measured),
     };
-    let path = match o.expected {
-        Some(_) => EvidencePath::Precomputed,
-        None => EvidencePath::Classic,
-    };
+    let path = o.path();
     match verdict {
         Ok(_) => core_round_passed(cfg, now, d, &o, measured, path, fx),
         Err(SageError::TimingExceeded { .. }) => {
@@ -1960,10 +1869,9 @@ fn core_start_round(
         }
     }
     d.round += 1;
-    // Blocking take keeps the consumed challenge sequence
-    // deterministic (the bank's single producer draws in generator
-    // order); the wait is bounded by one background replay and only
-    // ever happens when rounds outpace the refill workers.
+    // Blocking take: an empty bank replays the next pair inline, so the
+    // round always carries its expected checksum and the consumed
+    // challenge sequence is the generator's order.
     let (challenges, expected) = d.verifier.prepare_round_blocking();
     // The round must complete within: challenge flight + the
     // calibrated worst-case checksum time + response flight + slack.

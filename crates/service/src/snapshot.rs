@@ -791,7 +791,6 @@ pub(crate) fn restore<T: Transport>(
         by_name: FxHashMap::default(),
         roster: Vec::new(),
         roster_pos: Vec::new(),
-        work_of: Vec::new(),
         timer_scratch: Vec::new(),
         quorum,
         archive: None,

@@ -233,57 +233,63 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Encodes a frame into its wire representation.
+/// Encodes a frame into its wire representation: one allocation, sized
+/// for the frame. The header goes in first with a zero length, the
+/// payload is encoded behind it, and the length is patched in last.
 pub fn encode(frame: &Frame) -> Vec<u8> {
-    let (kind, payload) = match frame {
+    let mut out = match frame {
         Frame::Sake(msg) => encode_sake(msg),
         Frame::Channel(wire) => {
-            let mut p = Vec::with_capacity(33 + wire.body.len());
+            let mut p = start_frame(K_CHANNEL, 33 + wire.body.len());
             canon::put_u64(&mut p, wire.seq);
             canon::put_u32(&mut p, wire.addr);
             canon::put_u8(&mut p, wire.confidential as u8);
             canon::put_fixed(&mut p, &wire.mac);
             canon::put_bytes(&mut p, &wire.body);
-            (K_CHANNEL, p)
+            p
         }
         Frame::Challenge { round, challenges } => {
-            let mut p = Vec::with_capacity(12 + challenges.len() * 16);
+            let mut p = start_frame(K_CHALLENGE, 12 + challenges.len() * 16);
             canon::put_u64(&mut p, *round);
             canon::put_u32(&mut p, challenges.len() as u32);
             for c in challenges {
                 canon::put_fixed(&mut p, c);
             }
-            (K_CHALLENGE, p)
+            p
         }
         Frame::Response {
             round,
             checksum,
             measured_cycles,
         } => {
-            let mut p = Vec::with_capacity(48);
+            let mut p = start_frame(K_RESPONSE, 48);
             canon::put_u64(&mut p, *round);
             for &w in checksum {
                 canon::put_u32(&mut p, w);
             }
             canon::put_u64(&mut p, *measured_cycles);
-            (K_RESPONSE, p)
+            p
         }
         Frame::SakeCommitTimed {
             w2,
             mac,
             measured_cycles,
         } => {
-            let mut p = Vec::with_capacity(56);
+            let mut p = start_frame(K_SAKE_COMMIT_TIMED, 56);
             canon::put_fixed(&mut p, w2);
             canon::put_fixed(&mut p, mac);
             canon::put_u64(&mut p, *measured_cycles);
-            (K_SAKE_COMMIT_TIMED, p)
+            p
         }
-        Frame::LinkNonce { nonce } => (K_LINK_NONCE, nonce.to_vec()),
+        Frame::LinkNonce { nonce } => {
+            let mut p = start_frame(K_LINK_NONCE, nonce.len());
+            canon::put_fixed(&mut p, nonce);
+            p
+        }
         Frame::Enroll { device } => {
-            let mut p = Vec::with_capacity(2 + device.len());
+            let mut p = start_frame(K_ENROLL, 2 + device.len());
             put_name(&mut p, device);
-            (K_ENROLL, p)
+            p
         }
         Frame::Hello {
             device,
@@ -291,24 +297,24 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             resume_from,
             mac,
         } => {
-            let mut p = Vec::with_capacity(42 + device.len());
+            let mut p = start_frame(K_HELLO, 42 + device.len());
             put_name(&mut p, device);
             canon::put_fixed(&mut p, nonce);
             canon::put_u64(&mut p, *resume_from);
             canon::put_fixed(&mut p, mac);
-            (K_HELLO, p)
+            p
         }
         Frame::HelloAck { nonce, mac } => {
-            let mut p = Vec::with_capacity(32);
+            let mut p = start_frame(K_HELLO_ACK, 32);
             canon::put_fixed(&mut p, nonce);
             canon::put_fixed(&mut p, mac);
-            (K_HELLO_ACK, p)
+            p
         }
         Frame::Heartbeat { seq, echo } => {
-            let mut p = Vec::with_capacity(9);
+            let mut p = start_frame(K_HEARTBEAT, 9);
             canon::put_u64(&mut p, *seq);
             canon::put_u8(&mut p, *echo as u8);
-            (K_HEARTBEAT, p)
+            p
         }
         Frame::QuorumVote {
             verifier,
@@ -317,51 +323,67 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
             vote,
             mac,
         } => {
-            let mut p = Vec::with_capacity(29 + device.len());
+            let mut p = start_frame(K_QUORUM_VOTE, 29 + device.len());
             canon::put_u16(&mut p, *verifier);
             put_name(&mut p, device);
             canon::put_u64(&mut p, *round);
             canon::put_u8(&mut p, vote_byte(*vote));
             canon::put_fixed(&mut p, mac);
-            (K_QUORUM_VOTE, p)
+            p
         }
     };
-    assert!(
-        payload.len() as u32 <= MAX_PAYLOAD,
-        "frame payload too large"
-    );
-    let mut out = Vec::with_capacity(HEADER_BYTES + payload.len());
-    canon::put_u16(&mut out, MAGIC);
-    canon::put_u8(&mut out, VERSION);
-    canon::put_u8(&mut out, kind);
-    canon::put_u32(&mut out, payload.len() as u32);
-    out.extend_from_slice(&payload);
+    let len = out.len() - HEADER_BYTES;
+    assert!(len <= MAX_PAYLOAD as usize, "frame payload too large");
+    out[HEADER_BYTES - 4..HEADER_BYTES].copy_from_slice(&(len as u32).to_le_bytes());
     out
 }
 
-fn encode_sake(msg: &SakeMessage) -> (u8, Vec<u8>) {
+/// Starts a frame of `kind` in a buffer with room for `payload` more
+/// bytes: the header, with the length left zero for [`encode`] to patch.
+fn start_frame(kind: u8, payload: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_BYTES + payload);
+    canon::put_u16(&mut out, MAGIC);
+    canon::put_u8(&mut out, VERSION);
+    canon::put_u8(&mut out, kind);
+    canon::put_u32(&mut out, 0);
+    out
+}
+
+fn encode_sake(msg: &SakeMessage) -> Vec<u8> {
     match msg {
-        SakeMessage::Challenge { v2 } => (K_SAKE_CHALLENGE, v2.to_vec()),
+        SakeMessage::Challenge { v2 } => {
+            let mut p = start_frame(K_SAKE_CHALLENGE, v2.len());
+            canon::put_fixed(&mut p, v2);
+            p
+        }
         SakeMessage::Commit { w2, mac } => {
-            let mut p = Vec::with_capacity(48);
+            let mut p = start_frame(K_SAKE_COMMIT, 48);
             canon::put_fixed(&mut p, w2);
             canon::put_fixed(&mut p, mac);
-            (K_SAKE_COMMIT, p)
+            p
         }
-        SakeMessage::RevealV1 { v1 } => (K_SAKE_REVEAL_V1, v1.to_vec()),
+        SakeMessage::RevealV1 { v1 } => {
+            let mut p = start_frame(K_SAKE_REVEAL_V1, v1.len());
+            canon::put_fixed(&mut p, v1);
+            p
+        }
         SakeMessage::DeviceReveal1 { w1, k, mac_k } => {
-            let mut p = Vec::with_capacity(52 + k.len());
+            let mut p = start_frame(K_SAKE_DEV_REVEAL1, 52 + k.len());
             canon::put_fixed(&mut p, w1);
             canon::put_bytes(&mut p, k);
             canon::put_fixed(&mut p, mac_k);
-            (K_SAKE_DEV_REVEAL1, p)
+            p
         }
         SakeMessage::RevealV0 { v0 } => {
-            let mut p = Vec::with_capacity(4 + v0.len());
+            let mut p = start_frame(K_SAKE_REVEAL_V0, 4 + v0.len());
             canon::put_bytes(&mut p, v0);
-            (K_SAKE_REVEAL_V0, p)
+            p
         }
-        SakeMessage::DeviceReveal0 { w0 } => (K_SAKE_DEV_REVEAL0, w0.to_vec()),
+        SakeMessage::DeviceReveal0 { w0 } => {
+            let mut p = start_frame(K_SAKE_DEV_REVEAL0, w0.len());
+            canon::put_fixed(&mut p, w0);
+            p
+        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! A shared atomic counter.
 //!
 //! The control plane bumps its counters from one thread, and the few
-//! multi-threaded producers (bank refill workers, per-SM simulator
+//! multi-threaded producers (replay-pool prefills, per-SM simulator
 //! folds) bump once per refill or per run, not per cycle — so one
 //! relaxed `fetch_add` on one `AtomicU64` is the whole cost.
 

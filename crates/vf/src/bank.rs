@@ -5,9 +5,9 @@
 //! a timing check in the challenge–response round — the standard
 //! verifier-side precomputation trick of SWATT/Pioneer-style protocols).
 //! The bank realizes that: a bounded queue of
-//! `(challenges, expected_checksum)` pairs, filled by background worker
-//! threads *between* rounds, so a round that hits the bank does **zero**
-//! replay on its critical path.
+//! `(challenges, expected_checksum)` pairs, stocked *between* rounds
+//! ([`ChallengeBank::fill`], [`prefill_banks`]), so a round that hits
+//! the bank does **zero** replay on its critical path.
 //!
 //! Safety-relevant invariants:
 //!
@@ -29,13 +29,13 @@
 //!   counted*, never issued — the round falls back to online replay, so
 //!   a poisoned bank can cost latency but never a false accept.
 //!
-//! With `workers == 0` the bank spawns nothing: stock appears only via
-//! the synchronous [`ChallengeBank::fill`] / blocking-take refill, in
-//! generator order — the deterministic mode tests use.
+//! The bank never starts a thread. Stock appears only through
+//! [`ChallengeBank::fill`], [`prefill_banks`] or the inline refill of a
+//! blocking take, always in generator order, so the consumed challenge
+//! sequence is a pure function of the generator.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, MutexGuard};
 
 use sage_telemetry::{Counter, Registry};
 
@@ -75,8 +75,9 @@ impl std::error::Error for BankError {}
 pub struct BankConfig {
     /// Maximum precomputed pairs held in stock.
     pub capacity: usize,
-    /// Background refill threads; `0` disables background refill
-    /// entirely (deterministic synchronous mode).
+    /// Ignored: the bank never starts a thread, and every refill runs on
+    /// the calling thread. The field stays only because the benchmark's
+    /// verifier twins still set it; the next benchmark change deletes it.
     pub workers: usize,
 }
 
@@ -84,7 +85,7 @@ impl Default for BankConfig {
     fn default() -> BankConfig {
         BankConfig {
             capacity: 4,
-            workers: 1,
+            workers: 0,
         }
     }
 }
@@ -168,7 +169,6 @@ const POISONED: usize = 4;
 struct BankState {
     queue: VecDeque<Stocked>,
     gen: ChallengeFn,
-    stop: bool,
     /// This bank's own effectiveness counts, indexed like [`SERIES`].
     counts: [u64; 5],
     /// The registry's fleet-wide series, once registered (see
@@ -185,119 +185,89 @@ impl BankState {
             series[what].inc();
         }
     }
+
+    /// Draws one challenge set from the generator, in its order.
+    fn draw_challenges(&mut self, blocks: usize) -> Vec<[u8; 16]> {
+        (0..blocks)
+            .map(|_| {
+                let mut c = [0u8; 16];
+                (self.gen)(&mut c);
+                c
+            })
+            .collect()
+    }
+
+    /// Stocks one freshly computed pair under its integrity tag.
+    fn stock(&mut self, round: PrecomputedRound) {
+        let guard = guard_tag(&round);
+        self.queue.push_back(Stocked { round, guard });
+        self.count(REFILL);
+    }
+
+    /// Pops stock until a pair with an intact integrity tag surfaces.
+    /// Poisoned pairs are discarded and counted.
+    fn pop_valid(&mut self) -> Option<PrecomputedRound> {
+        while let Some(stocked) = self.queue.pop_front() {
+            if stocked.guard == guard_tag(&stocked.round) {
+                return Some(stocked.round);
+            }
+            self.count(POISONED);
+        }
+        None
+    }
 }
 
-struct Inner {
+/// A bounded, fingerprint-keyed queue of precomputed rounds. The state
+/// sits behind a lock so the bank works through `&self`: [`prefill_banks`]
+/// shares banks with its pool threads.
+pub struct ChallengeBank {
     build: VfBuild,
     fingerprint: Fingerprint,
     capacity: usize,
     state: Mutex<BankState>,
-    /// Signalled when queue space frees up (or on stop) — refillers wait.
-    space: Condvar,
-    /// Signalled when stock arrives — blocking takers wait.
-    stock: Condvar,
-}
-
-/// A bounded, fingerprint-keyed queue of precomputed rounds.
-pub struct ChallengeBank {
-    inner: Arc<Inner>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl Inner {
-    /// Draws one challenge set under the state lock (keeps the generator
-    /// sequence well-ordered) without touching the queue.
-    fn draw_challenges(state: &mut BankState, blocks: usize) -> Vec<[u8; 16]> {
-        (0..blocks)
-            .map(|_| {
-                let mut c = [0u8; 16];
-                (state.gen)(&mut c);
-                c
-            })
-            .collect()
-    }
-
-    /// Computes one pair synchronously — under the lock, deliberately:
-    /// this is the deterministic path (`fill` / workers-0 blocking take),
-    /// where the caller wants the pair ready before proceeding anyway.
-    /// Background workers use [`worker_loop`], which replays unlocked.
-    fn refill_once(&self, state: &mut MutexGuard<'_, BankState>) {
-        let blocks = self.build.params.grid_blocks as usize;
-        let challenges = Self::draw_challenges(state, blocks);
-        let expected = expected_checksum(&self.build, &challenges);
-        let round = PrecomputedRound {
-            challenges,
-            expected,
-        };
-        let guard = guard_tag(&round);
-        state.queue.push_back(Stocked { round, guard });
-        state.count(REFILL);
-        self.stock.notify_all();
-    }
-
-    /// Pops stock until a pair with an intact integrity tag surfaces.
-    /// Poisoned pairs are discarded and counted; their queue slots are
-    /// handed back to refillers.
-    fn pop_valid(&self, state: &mut MutexGuard<'_, BankState>) -> Option<PrecomputedRound> {
-        while let Some(stocked) = state.queue.pop_front() {
-            self.space.notify_all();
-            if stocked.guard == guard_tag(&stocked.round) {
-                return Some(stocked.round);
-            }
-            state.count(POISONED);
-        }
-        None
-    }
-}
-
 impl ChallengeBank {
-    /// Creates a bank for one build, drawing challenge bytes from `gen`.
+    /// Creates an empty bank for one build, drawing challenge bytes from
+    /// `gen`. `cfg.workers` is ignored (see [`BankConfig::workers`]).
     pub fn new(build: VfBuild, cfg: BankConfig, gen: ChallengeFn) -> ChallengeBank {
-        let fingerprint = build.fingerprint();
-        let inner = Arc::new(Inner {
+        ChallengeBank {
+            fingerprint: build.fingerprint(),
             build,
-            fingerprint,
             capacity: cfg.capacity.max(1),
             state: Mutex::new(BankState {
                 queue: VecDeque::new(),
                 gen,
-                stop: false,
                 counts: [0; 5],
                 series: None,
             }),
-            space: Condvar::new(),
-            stock: Condvar::new(),
-        });
-        // Failure to spawn a worker (thread exhaustion on the verifier
-        // host) degrades the bank to fewer — possibly zero — background
-        // refillers instead of panicking: blocking takes still refill
-        // synchronously when no worker exists.
-        let mut workers: Vec<JoinHandle<()>> = Vec::with_capacity(cfg.workers);
-        for i in 0..cfg.workers {
-            let inner = Arc::clone(&inner);
-            match std::thread::Builder::new()
-                .name(format!("sage-bank-{i}"))
-                .spawn(move || worker_loop(&inner))
-            {
-                Ok(handle) => workers.push(handle),
-                Err(_) => break,
-            }
         }
-        ChallengeBank { inner, workers }
+    }
+
+    /// Draws one challenge set and replays its expected checksum on the
+    /// calling thread, under the lock: the caller wants the pair before
+    /// it proceeds anyway, and the lock keeps the generator order.
+    fn compute(&self, state: &mut BankState) -> PrecomputedRound {
+        let challenges = state.draw_challenges(self.build.params.grid_blocks as usize);
+        let expected = expected_checksum(&self.build, &challenges);
+        PrecomputedRound {
+            challenges,
+            expected,
+        }
     }
 
     /// The fingerprint of the build this bank precomputes for.
     pub fn fingerprint(&self) -> Fingerprint {
-        self.inner.fingerprint
+        self.fingerprint
     }
 
     /// Current stock level.
     pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.inner.state).queue.len()
+        lock_unpoisoned(&self.state).queue.len()
     }
 
     /// `true` if no stock is available right now.
@@ -307,7 +277,7 @@ impl ChallengeBank {
 
     /// Maximum stock.
     pub fn capacity(&self) -> usize {
-        self.inner.capacity
+        self.capacity
     }
 
     /// Feeds this bank's effectiveness counts into the registry's
@@ -315,7 +285,7 @@ impl ChallengeBank {
     /// registry shares. Counts made before the call are added first, so
     /// the series sum every bank's whole history.
     pub fn register_telemetry(&self, reg: &Registry) {
-        let mut state = lock_unpoisoned(&self.inner.state);
+        let mut state = lock_unpoisoned(&self.state);
         let series = SERIES.map(|name| reg.counter(name, &[]));
         for (c, &n) in series.iter().zip(&state.counts) {
             c.add(n);
@@ -325,7 +295,7 @@ impl ChallengeBank {
 
     /// This bank's own counts.
     pub fn counters(&self) -> BankCounters {
-        let c = lock_unpoisoned(&self.inner.state).counts;
+        let c = lock_unpoisoned(&self.state).counts;
         BankCounters {
             hits: c[HIT],
             misses: c[MISS],
@@ -342,49 +312,33 @@ impl ChallengeBank {
     /// build than this bank serves — stock computed for build A is never
     /// issued for build B.
     pub fn take(&self, fp: &Fingerprint) -> Result<Option<PrecomputedRound>, BankError> {
-        let mut state = lock_unpoisoned(&self.inner.state);
-        if *fp != self.inner.fingerprint {
+        let mut state = lock_unpoisoned(&self.state);
+        if *fp != self.fingerprint {
             state.count(FOREIGN);
             return Err(BankError::ForeignFingerprint);
         }
-        let pair = self.inner.pop_valid(&mut state);
+        let pair = state.pop_valid();
         state.count(if pair.is_some() { HIT } else { MISS });
         Ok(pair)
     }
 
     /// Blocking take: always returns a *valid* pair for a matching
-    /// fingerprint. With background workers the caller waits for stock
-    /// (counted as a miss when it had to wait); with `workers == 0` an
-    /// empty — or fully poisoned — bank is refilled synchronously on the
-    /// calling thread, preserving the deterministic generator order.
+    /// fingerprint. Valid stock is a hit; an empty — or fully poisoned —
+    /// bank is a miss, and the pair is computed on the calling thread
+    /// (counted as a refill), next in generator order.
     pub fn take_blocking(&self, fp: &Fingerprint) -> Result<PrecomputedRound, BankError> {
-        let mut state = lock_unpoisoned(&self.inner.state);
-        if *fp != self.inner.fingerprint {
+        let mut state = lock_unpoisoned(&self.state);
+        if *fp != self.fingerprint {
             state.count(FOREIGN);
             return Err(BankError::ForeignFingerprint);
         }
-        let mut first_attempt = true;
-        loop {
-            if let Some(pair) = self.inner.pop_valid(&mut state) {
-                if first_attempt {
-                    state.count(HIT);
-                }
-                return Ok(pair);
-            }
-            if first_attempt {
-                state.count(MISS);
-                first_attempt = false;
-            }
-            if self.workers.is_empty() {
-                self.inner.refill_once(&mut state);
-            } else {
-                state = self
-                    .inner
-                    .stock
-                    .wait(state)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
+        if let Some(pair) = state.pop_valid() {
+            state.count(HIT);
+            return Ok(pair);
         }
+        state.count(MISS);
+        state.count(REFILL);
+        Ok(self.compute(&mut state))
     }
 
     /// Chaos hook: flips one bit of the expected checksum of the stocked
@@ -392,7 +346,7 @@ impl ChallengeBank {
     /// what a DRAM fault on the verifier host would do. Returns `false`
     /// when no pair sits at that index. Test/fault-injection API.
     pub fn corrupt_stock(&self, index: usize) -> bool {
-        let mut state = lock_unpoisoned(&self.inner.state);
+        let mut state = lock_unpoisoned(&self.state);
         match state.queue.get_mut(index) {
             Some(stocked) => {
                 stocked.round.expected[0] ^= 1 << 17;
@@ -406,12 +360,13 @@ impl ChallengeBank {
     /// capacity) on the calling thread. Deterministic: pairs enter the
     /// queue in generator order.
     pub fn fill(&self, n: usize) {
-        let mut state = lock_unpoisoned(&self.inner.state);
+        let mut state = lock_unpoisoned(&self.state);
         for _ in 0..n {
-            if state.queue.len() >= self.inner.capacity {
+            if state.queue.len() >= self.capacity {
                 break;
             }
-            self.inner.refill_once(&mut state);
+            let round = self.compute(&mut state);
+            state.stock(round);
         }
     }
 
@@ -444,25 +399,20 @@ pub fn prefill_banks(banks: &[&ChallengeBank], n: usize, pool: &ReplayPool) {
     // Phase 1: draw challenges (generator order) and size the job list.
     let mut drawn: Vec<Vec<Vec<[u8; 16]>>> = Vec::with_capacity(banks.len());
     for bank in banks {
-        let mut state = lock_unpoisoned(&bank.inner.state);
-        let room = bank.inner.capacity.saturating_sub(state.queue.len()).min(n);
-        let blocks = bank.inner.build.params.grid_blocks as usize;
-        let sets: Vec<Vec<[u8; 16]>> = (0..room)
-            .map(|_| Inner::draw_challenges(&mut state, blocks))
-            .collect();
+        let mut state = lock_unpoisoned(&bank.state);
+        let room = bank.capacity.saturating_sub(state.queue.len()).min(n);
+        let blocks = bank.build.params.grid_blocks as usize;
+        let sets: Vec<Vec<[u8; 16]>> = (0..room).map(|_| state.draw_challenges(blocks)).collect();
         drawn.push(sets);
     }
 
     // Phase 2: one flat (bank, round, block) job list over the pool.
-    let traces: Vec<StepTrace> = banks
-        .iter()
-        .map(|b| StepTrace::new(&b.inner.build))
-        .collect();
+    let traces: Vec<StepTrace> = banks.iter().map(|b| StepTrace::new(&b.build)).collect();
     let partials: Vec<Vec<Vec<Mutex<[u32; 8]>>>> = banks
         .iter()
         .zip(&drawn)
         .map(|(bank, sets)| {
-            let blocks = bank.inner.build.params.grid_blocks as usize;
+            let blocks = bank.build.params.grid_blocks as usize;
             sets.iter()
                 .map(|_| (0..blocks).map(|_| Mutex::new([0u32; 8])).collect())
                 .collect()
@@ -471,7 +421,7 @@ pub fn prefill_banks(banks: &[&ChallengeBank], n: usize, pool: &ReplayPool) {
     // (bank index, round index, block) triples — the flat job list.
     let mut jobs: Vec<(usize, usize, u32)> = Vec::new();
     for (i, bank) in banks.iter().enumerate() {
-        let blocks = bank.inner.build.params.grid_blocks;
+        let blocks = bank.build.params.grid_blocks;
         for r in 0..drawn[i].len() {
             for b in 0..blocks {
                 jobs.push((i, r, b));
@@ -480,21 +430,13 @@ pub fn prefill_banks(banks: &[&ChallengeBank], n: usize, pool: &ReplayPool) {
     }
     pool.run_scoped(jobs.len(), &|idx| {
         let (i, r, b) = jobs[idx];
-        let sums = replay_block_batched(
-            &banks[i].inner.build,
-            &traces[i],
-            &drawn[i][r][b as usize],
-            b,
-        );
+        let sums = replay_block_batched(&banks[i].build, &traces[i], &drawn[i][r][b as usize], b);
         *lock_unpoisoned(&partials[i][r][b as usize]) = sums;
     });
 
     // Phase 3: reduce and enqueue, per bank, in draw order.
     for ((bank, sets), parts) in banks.iter().zip(drawn).zip(partials) {
-        let mut state = lock_unpoisoned(&bank.inner.state);
-        if state.stop {
-            continue;
-        }
+        let mut state = lock_unpoisoned(&bank.state);
         for (challenges, blocks) in sets.into_iter().zip(parts) {
             let mut expected = [0u32; 8];
             for cell in blocks {
@@ -503,58 +445,11 @@ pub fn prefill_banks(banks: &[&ChallengeBank], n: usize, pool: &ReplayPool) {
                     expected[j] = expected[j].wrapping_add(part[j]);
                 }
             }
-            let round = PrecomputedRound {
+            state.stock(PrecomputedRound {
                 challenges,
                 expected,
-            };
-            let guard = guard_tag(&round);
-            state.queue.push_back(Stocked { round, guard });
-            state.count(REFILL);
+            });
         }
-        bank.inner.stock.notify_all();
-    }
-}
-
-impl Drop for ChallengeBank {
-    fn drop(&mut self) {
-        lock_unpoisoned(&self.inner.state).stop = true;
-        self.inner.space.notify_all();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(inner: &Inner) {
-    loop {
-        // Claim work: draw the next challenge set while below capacity.
-        let challenges = {
-            let mut state = lock_unpoisoned(&inner.state);
-            loop {
-                if state.stop {
-                    return;
-                }
-                if state.queue.len() < inner.capacity {
-                    let blocks = inner.build.params.grid_blocks as usize;
-                    break Inner::draw_challenges(&mut state, blocks);
-                }
-                state = inner.space.wait(state).unwrap_or_else(|e| e.into_inner());
-            }
-        };
-        // The expensive replay happens with the lock released.
-        let expected = expected_checksum(&inner.build, &challenges);
-        let mut state = lock_unpoisoned(&inner.state);
-        if state.stop {
-            return;
-        }
-        let round = PrecomputedRound {
-            challenges,
-            expected,
-        };
-        let guard = guard_tag(&round);
-        state.queue.push_back(Stocked { round, guard });
-        state.count(REFILL);
-        inner.stock.notify_all();
     }
 }
 
@@ -725,8 +620,8 @@ mod tests {
     fn blocking_take_refills_inline_without_workers() {
         let bank = sync_bank(7, 2, 5);
         let fp = bank.fingerprint();
-        // Empty bank, zero workers: the blocking take computes the pair
-        // synchronously on this thread.
+        // Empty bank: the blocking take computes the pair on this
+        // thread.
         let round = bank.take_blocking(&fp).unwrap();
         let build = tiny_build(7);
         assert_eq!(round.expected, expected_checksum(&build, &round.challenges));
@@ -779,8 +674,8 @@ mod tests {
         bank.fill(1);
         assert!(bank.corrupt_stock(0));
         let fp = bank.fingerprint();
-        // Zero workers: the poisoned pair is discarded and a fresh one
-        // computed synchronously — the caller always gets a valid pair.
+        // The poisoned pair is discarded and a fresh one computed on this
+        // thread — the caller always gets a valid pair.
         let round = bank.take_blocking(&fp).unwrap();
         let build = tiny_build(7);
         assert_eq!(
@@ -800,23 +695,28 @@ mod tests {
     }
 
     #[test]
-    fn background_workers_stock_the_bank() {
-        let bank = ChallengeBank::new(
-            tiny_build(7),
-            BankConfig {
+    fn worker_count_does_not_change_stock_order() {
+        // `workers` is ignored: a bank built with three stocks and issues
+        // the same rounds, in the same generator order, as one built with
+        // none — through a fill and through inline refills alike.
+        let bank = |workers| {
+            let cfg = BankConfig {
                 capacity: 2,
-                workers: 1,
-            },
-            counter_gen(1),
-        );
-        let fp = bank.fingerprint();
-        // The worker fills asynchronously; blocking takes always succeed.
+                workers,
+            };
+            ChallengeBank::new(tiny_build(7), cfg, counter_gen(1))
+        };
+        let (three, zero) = (bank(3), bank(0));
+        three.fill(2);
+        zero.fill(2);
+        let fp = zero.fingerprint();
         for _ in 0..4 {
-            let round = bank.take_blocking(&fp).unwrap();
-            assert_eq!(round.challenges.len(), 2); // test_tiny: 2 blocks
+            let a = three.take_blocking(&fp).unwrap();
+            let b = zero.take_blocking(&fp).unwrap();
+            assert_eq!(a.challenges, b.challenges);
+            assert_eq!(a.expected, b.expected);
         }
-        let c = bank.counters();
-        assert_eq!(c.hits + c.misses, 4);
-        assert!(c.refills >= 4);
+        assert_eq!(three.counters(), zero.counters());
+        assert_eq!(zero.counters().refills, 4);
     }
 }

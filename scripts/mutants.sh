@@ -35,6 +35,8 @@ MUTANTS=(
     "relay-gate-ignored|crates/service/src/quorum.rs|if wire > rtt_gate {|if false && wire > rtt_gate {|-p sage-service --lib quorum::;--test attack_matrix"
     "suffix-link-check-skipped|crates/evidence/src/chain.rs|if rec.prev != head {|if false && rec.prev != head {|-p sage-evidence"
     "timing-threshold-exclusive|crates/core/src/timing.rs|measured <= self.threshold()|measured < self.threshold()|-p sage --lib timing::"
+    "verdicts-in-roster-order|crates/service/src/service.rs|for (slot, env) in responses {|responses.sort_by_key(\|r\| self.roster_pos[r.0]); for (slot, env) in responses {|--test history_golden"
+    "evidence-payload-byte-flipped|crates/evidence/src/chain.rs|self.hasher.update(&rec.encode());|self.hasher.update(&{ let mut b = rec.encode(); b[17] ^= 1; b });|--test history_golden"
 )
 
 field() { # field INDEX ENTRY — '|' separates fields, '\|' is a literal bar

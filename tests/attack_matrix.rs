@@ -577,7 +577,6 @@ fn honest_fleet_report(bank_capacity: usize, expected_path: EvidencePath) -> Hon
         calibration_runs: 5,
         policy: Policy::default(),
         bank_capacity,
-        bank_workers: 0,
         epoch_interval: 30_000,
         freshness: FreshnessPolicy {
             stale_after: 60_000,
@@ -887,7 +886,6 @@ fn byzantine_fleet(spec: &FleetSpec, names: &[&str]) -> (AttestationService<SimN
         calibration_runs: 5,
         policy: Policy::default(),
         bank_capacity: spec.bank_capacity,
-        bank_workers: 0,
         epoch_interval: 30_000,
         quorum: spec.quorum,
         sampling: spec.sampling,

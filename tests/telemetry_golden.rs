@@ -1,6 +1,6 @@
 //! Golden-snapshot test for both telemetry exporters: a fully
 //! deterministic two-device fleet run (seeded network, zero jitter,
-//! synchronous bank refills, virtual clocks everywhere) must render
+//! inline bank refills, virtual clocks everywhere) must render
 //! byte-for-byte identical JSON and Prometheus text across runs and
 //! machines. The committed goldens under `tests/goldens/` are the
 //! schema-stability contract: any change to series names, labels,
@@ -49,7 +49,7 @@ fn enclave(seed: u8) -> Enclave {
 }
 
 /// Runs the canonical deterministic scenario and returns its registry:
-/// two devices enroll and attest (bank-hit fast path, synchronous
+/// two devices enroll and attest (bank-hit fast path, inline
 /// refills), then one is compromised with the §8 replay tap and driven
 /// through value rejects into quarantine — so accept, reject, bank,
 /// simulator and service series are all populated.
@@ -70,10 +70,6 @@ fn deterministic_registry() -> Registry {
         calibration_runs: 5,
         policy: Policy::default(),
         bank_capacity: 2,
-        // Synchronous refills: no background threads, so the consumed
-        // challenge sequence — and with it every counter and histogram
-        // below — is a pure function of the seeds.
-        bank_workers: 0,
         ..ServiceConfig::default()
     };
     let reg = Registry::new();
