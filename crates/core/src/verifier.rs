@@ -236,8 +236,8 @@ impl Verifier {
     /// back, so the expected checksum is always attached when the fast
     /// path is enabled. Stocked or computed, the pair is the next one in
     /// generator order, so the consumed challenge sequence is the same
-    /// whatever the stock level — the property the service layer and
-    /// calibration rely on for reproducible runs.
+    /// whatever the stock level — the property calibration relies on for
+    /// reproducible runs.
     pub fn prepare_round_blocking(&mut self) -> (Vec<[u8; 16]>, Option<[u32; 8]>) {
         if let Some(bank) = &self.bank {
             if let Ok(round) = bank.take_blocking(&self.fingerprint) {

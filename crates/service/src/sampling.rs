@@ -115,8 +115,7 @@ pub fn covers(cfg: &SamplingConfig, epoch: u64, device: &str) -> bool {
 /// that answers its replay tap's recording round honestly passes that
 /// round, so when a covered epoch holds a single round, detection lands
 /// one covered epoch later than the model says. The attack matrix's
-/// unsampled-epoch campaign
-/// (`unsampled_epoch_cheater_caught_on_{classic,precomputed}_path`)
+/// unsampled-epoch campaign (`unsampled_epoch_cheater_caught_on_classic_path`)
 /// pins exactly that case.
 pub fn detect_probability_per_mille(coverage_per_mille: u32, k: u64) -> u64 {
     let c = f64::from(coverage_per_mille.min(1000)) / 1000.0;

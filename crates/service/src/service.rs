@@ -130,14 +130,14 @@ pub struct ServiceConfig {
     pub calibration_runs: usize,
     /// Failure-handling policy.
     pub policy: Policy,
-    /// Precomputed rounds held per device (`0` disables the fast path:
-    /// every round replays online).
+    /// Ignored: the service judges every round by replay and keeps no
+    /// challenge bank. The field stays only because the benchmark's
+    /// workload table still sets it; the next benchmark change deletes
+    /// it.
     pub bank_capacity: usize,
-    /// Ignored: a device's bank starts no thread and refills inline on
-    /// the round start that finds it empty, in generator order. The
-    /// field stays only because the benchmark's workload table still
-    /// sets it; the next benchmark change deletes it, like
-    /// [`ServiceConfig::shards`].
+    /// Ignored: the service keeps no challenge bank, so there is nothing
+    /// to refill. Kept, like [`ServiceConfig::shards`], only because the
+    /// benchmark's workload table still sets it.
     pub bank_workers: usize,
     /// Virtual ticks between fleet evidence epochs: every interval, a
     /// Merkle root over all device chain heads is sealed and logged.
@@ -193,7 +193,7 @@ impl Default for ServiceConfig {
             deadline_slack: 1_000,
             calibration_runs: 5,
             policy: Policy::default(),
-            bank_capacity: 2,
+            bank_capacity: 0,
             bank_workers: 0,
             epoch_interval: 0,
             freshness: sage_evidence::FreshnessPolicy::disabled(),
@@ -211,25 +211,11 @@ impl Default for ServiceConfig {
 pub(crate) struct Outstanding {
     pub(crate) round: u64,
     pub(crate) challenges: Vec<[u8; 16]>,
-    /// Bank-precomputed expected checksum; `None` means this round
-    /// verifies via online replay.
-    pub(crate) expected: Option<[u32; 8]>,
     pub(crate) deadline: u64,
     /// Virtual time the challenge was dispatched — the wall anchor the
     /// relay/topology detector subtracts reported compute time from,
     /// and the start of the round latency `RoundPassed` reports.
     pub(crate) started_at: u64,
-}
-
-impl Outstanding {
-    /// How the round is judged: against the bank's precomputed
-    /// checksum, or by online replay.
-    fn path(&self) -> EvidencePath {
-        match self.expected {
-            Some(_) => EvidencePath::Precomputed,
-            None => EvidencePath::Classic,
-        }
-    }
 }
 
 pub(crate) struct ManagedDevice {
@@ -469,11 +455,10 @@ impl<T: Transport> AttestationService<T> {
     /// Attaches the whole service to a telemetry registry: the event
     /// log's round-lifecycle counters and latency histogram
     /// (`service_*`), the verifiers' verdicts
-    /// (`verifier_*{cause, path}`), the challenge banks' counters
-    /// (`vf_bank_*`) and the simulators' stats (`sim_*`). Series are
-    /// labelled by cause, path and state, never by device: every
-    /// device feeds the same fleet series, so the series count does
-    /// not grow with the fleet. Per-device detail comes from
+    /// (`verifier_*{cause, path}`) and the simulators' stats (`sim_*`).
+    /// Series are labelled by cause, path and state, never by device:
+    /// every device feeds the same fleet series, so the series count
+    /// does not grow with the fleet. Per-device detail comes from
     /// [`AttestationService::health_of`],
     /// [`AttestationService::report_for`] and the event log.
     ///
@@ -666,8 +651,8 @@ impl<T: Transport> AttestationService<T> {
     }
 
     /// The enrollment prologue both join paths share: allocates the
-    /// device's node id, logs the join, builds its verifier (challenge
-    /// bank and telemetry included) and moves it to `Attesting`.
+    /// device's node id, logs the join, builds its verifier (telemetry
+    /// included) and moves it to `Attesting`.
     fn begin_enrollment(
         &mut self,
         member: &mut FleetMember,
@@ -688,15 +673,6 @@ impl<T: Transport> AttestationService<T> {
 
         let mut verifier =
             Verifier::new(enclave, member.session.build().clone(), self.group.clone());
-        if self.cfg.bank_capacity > 0 {
-            // Fast path: precompute (challenges, expected) pairs off the
-            // round critical path. Enabled before calibration so the
-            // calibration replays already overlap the device runs.
-            verifier.enable_fast_path(sage_vf::BankConfig {
-                capacity: self.cfg.bank_capacity,
-                workers: 0,
-            });
-        }
         if let Some(reg) = &self.registry {
             verifier.attach_telemetry(reg);
             member.session.dev.install_telemetry(reg);
@@ -1047,7 +1023,7 @@ impl<T: Transport> AttestationService<T> {
             let mut fx = Effects::default();
             if d.link_up {
                 let reason = FailReason::Timeout;
-                core_round_failed(&self.cfg, now, d, o.round, reason, 0, o.path(), &mut fx);
+                core_round_failed(&self.cfg, now, d, o.round, reason, 0, &mut fx);
             } else {
                 core_round_link_down(&self.cfg, now, d, o.round, &mut fx);
             }
@@ -1504,9 +1480,9 @@ impl<T: Transport> AttestationService<T> {
 impl AttestationService<crate::tcp::TcpTransport> {
     /// Enrolls a device that lives across a socket. `twin` is the
     /// verifier's local replica of the device's VF build — the paper's
-    /// verifier-side simulation, used for checksum replay and the
-    /// challenge bank — not the remote device itself: every protocol
-    /// byte of calibration and SAKE crosses `stream`. On success the
+    /// verifier-side simulation, used for checksum replay — not the
+    /// remote device itself: every protocol byte of calibration and SAKE
+    /// crosses `stream`. On success the
     /// stream is adopted into the transport as the device's supervised
     /// connection and future reconnects resume against the SAKE session
     /// (no re-enrollment); on failure the device lands `Quarantined`
@@ -1640,34 +1616,17 @@ fn core_verdict(
     )
     .is_some()
     {
-        let path = o.path();
-        core_round_failed(cfg, now, d, round, FailReason::Relay, measured, path, fx);
+        core_round_failed(cfg, now, d, round, FailReason::Relay, measured, fx);
         return;
     }
-    // A bank hit carries its precomputed expected checksum: the verdict
-    // is a compare + timing check, zero replay online.
-    let verdict = match o.expected {
-        Some(expected) => d
-            .verifier
-            .check_response_precomputed(expected, checksum, measured),
-        None => d.verifier.check_response(&o.challenges, checksum, measured),
-    };
-    let path = o.path();
-    match verdict {
-        Ok(_) => core_round_passed(cfg, now, d, &o, measured, path, fx),
+    // The paper's verdict: replay the VF over the round's challenges and
+    // compare value and timing.
+    match d.verifier.check_response(&o.challenges, checksum, measured) {
+        Ok(_) => core_round_passed(cfg, now, d, &o, measured, fx),
         Err(SageError::TimingExceeded { .. }) => {
-            core_round_failed(cfg, now, d, round, FailReason::TooSlow, measured, path, fx)
+            core_round_failed(cfg, now, d, round, FailReason::TooSlow, measured, fx)
         }
-        Err(_) => core_round_failed(
-            cfg,
-            now,
-            d,
-            round,
-            FailReason::WrongValue,
-            measured,
-            path,
-            fx,
-        ),
+        Err(_) => core_round_failed(cfg, now, d, round, FailReason::WrongValue, measured, fx),
     }
 }
 
@@ -1677,7 +1636,6 @@ fn core_round_passed(
     d: &mut ManagedDevice,
     o: &Outstanding,
     measured: u64,
-    path: EvidencePath,
     fx: &mut Effects,
 ) {
     d.rounds_passed += 1;
@@ -1709,7 +1667,7 @@ fn core_round_passed(
             measured_cycles: measured,
             threshold_cycles: threshold,
             verdict: StageVerdict::Pass,
-            path,
+            path: EvidencePath::Classic,
         },
         fx,
     );
@@ -1718,7 +1676,6 @@ fn core_round_passed(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn core_round_failed(
     cfg: &ServiceConfig,
     now: u64,
@@ -1726,7 +1683,6 @@ fn core_round_failed(
     round: u64,
     reason: FailReason,
     measured: u64,
-    path: EvidencePath,
     fx: &mut Effects,
 ) {
     let policy = cfg.policy;
@@ -1753,7 +1709,7 @@ fn core_round_failed(
             measured_cycles: measured,
             threshold_cycles: threshold,
             verdict,
-            path,
+            path: EvidencePath::Classic,
         },
         fx,
     );
@@ -1869,17 +1825,14 @@ fn core_start_round(
         }
     }
     d.round += 1;
-    // Blocking take: an empty bank replays the next pair inline, so the
-    // round always carries its expected checksum and the consumed
-    // challenge sequence is the generator's order.
-    let (challenges, expected) = d.verifier.prepare_round_blocking();
+    // Fresh challenges from the enclave DRBG; the verdict replays them.
+    let challenges = d.verifier.generate_challenges();
     // The round must complete within: challenge flight + the
     // calibrated worst-case checksum time + response flight + slack.
     let deadline = now + 2 * cfg.latency_budget + threshold + cfg.deadline_slack;
     d.outstanding = Some(Outstanding {
         round: d.round,
         challenges: challenges.clone(),
-        expected,
         deadline,
         started_at: now,
     });
@@ -1992,7 +1945,6 @@ mod tests {
     fn node_ids_stop_at_the_top_of_the_id_space_instead_of_wrapping() {
         let cfg = ServiceConfig {
             reattest_interval: 10_000,
-            bank_capacity: 0,
             ..ServiceConfig::default()
         };
         let net = SimNet::new(5, LinkProfile::default());
@@ -2038,7 +1990,6 @@ mod tests {
     fn names_longer_than_the_wire_bound_are_refused_at_join() {
         let cfg = ServiceConfig {
             reattest_interval: 10_000,
-            bank_capacity: 0,
             quorum: QuorumConfig {
                 verifiers: 4,
                 seed: 0x51D,

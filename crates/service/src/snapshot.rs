@@ -63,7 +63,9 @@ const MAGIC: u32 = 0x5A6E_A950;
 /// `sage_crypto::canon`: strings carry a `u32` length prefix, evidence
 /// records follow their anchor inline, and the calibration and the
 /// sealed-epoch leaves use their types' own canonical encodings.
-const VERSION: u16 = 9;
+/// Version 10 drops the outstanding round's precomputed checksum: the
+/// service judges every round by replay and keeps no challenge bank.
+const VERSION: u16 = 10;
 
 /// Why a snapshot could not be decoded or re-married to its endpoints.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -271,11 +273,6 @@ pub(crate) fn encode<T: Transport>(svc: &AttestationService<T>) -> Vec<u8> {
             put_u64(out, o.round);
             put_u64(out, o.deadline);
             put_u64(out, o.started_at);
-            put_opt(out, o.expected, |out, words| {
-                for w in words {
-                    put_u32(out, w);
-                }
-            });
             put_u32(out, o.challenges.len() as u32);
             for c in &o.challenges {
                 put_fixed(out, c);
@@ -470,15 +467,6 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
             let o_round = r.u64()?;
             let deadline = r.u64()?;
             let started_at = r.u64()?;
-            let expected = if flag(&mut r, "expected")? {
-                let mut words = [0u32; 8];
-                for w in &mut words {
-                    *w = r.u32()?;
-                }
-                Some(words)
-            } else {
-                None
-            };
             let n_ch = r.u32()?;
             let mut challenges = Vec::new();
             for _ in 0..n_ch {
@@ -487,7 +475,6 @@ fn decode(bytes: &[u8]) -> Result<Decoded, SnapshotError> {
             Some(Outstanding {
                 round: o_round,
                 challenges,
-                expected,
                 deadline,
                 started_at,
             })

@@ -14,8 +14,6 @@
 //! - [`Histogram`] — fixed log2 buckets (65 of them, covering the full
 //!   `u64` range), mergeable snapshots, nearest-rank percentile
 //!   queries. Recording is two relaxed `fetch_add`s, no CAS loops.
-//! - [`WallSpan`] / [`VirtualSpan`] — lightweight spans stamped from
-//!   the wall clock or from the service layer's virtual clock.
 //! - [`Registry`] — a get-or-create directory of named, labeled
 //!   instruments with stable-schema JSON ([`Registry::to_json`]) and
 //!   Prometheus text ([`Registry::to_prometheus`]) exporters.
@@ -38,10 +36,8 @@ mod counter;
 mod gauge;
 mod hist;
 mod registry;
-mod span;
 
 pub use counter::Counter;
 pub use gauge::Gauge;
 pub use hist::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 pub use registry::{MetricValue, Registry};
-pub use span::{VirtualSpan, WallSpan};

@@ -74,8 +74,8 @@ fn main() {
     };
     let mut svc = AttestationService::new(cfg, DhGroup::test_group(), net);
     // One registry for the whole control plane: attached before any
-    // join, so every verifier verdict, bank take and simulator run of
-    // the demo lands in it.
+    // join, so every verifier verdict and simulator run of the demo
+    // lands in it.
     let reg = Registry::new();
     svc.attach_telemetry(&reg);
 
@@ -168,7 +168,7 @@ fn main() {
 
     // The unified telemetry view of the same story: the scrape-ready
     // round-lifecycle and verdict series (the full export also carries
-    // per-device bank and simulator families — see DESIGN.md §8).
+    // the simulator families — see DESIGN.md §8).
     println!("\n== telemetry (service_* / verifier_* scrape excerpt) ==");
     for line in reg.to_prometheus().lines() {
         if line.starts_with("service_") || line.starts_with("verifier_rejects_total") {

@@ -36,6 +36,7 @@ MUTANTS=(
     "suffix-link-check-skipped|crates/evidence/src/chain.rs|if rec.prev != head {|if false && rec.prev != head {|-p sage-evidence"
     "timing-threshold-exclusive|crates/core/src/timing.rs|measured <= self.threshold()|measured < self.threshold()|-p sage --lib timing::"
     "verdicts-in-roster-order|crates/service/src/service.rs|for (slot, env) in responses {|responses.sort_by_key(\|r\| self.roster_pos[r.0]); for (slot, env) in responses {|--test history_golden"
+    "service-verdict-skips-replay|crates/service/src/service.rs|match d.verifier.check_response(&o.challenges, checksum, measured) {|match d.verifier.check_response_precomputed(checksum, checksum, measured) {|--test attack_matrix"
     "evidence-payload-byte-flipped|crates/evidence/src/chain.rs|self.hasher.update(&rec.encode());|self.hasher.update(&{ let mut b = rec.encode(); b[17] ^= 1; b });|--test history_golden"
 )
 

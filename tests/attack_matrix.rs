@@ -25,10 +25,8 @@
 //! run is doctored per campaign (forked chain, reordered records,
 //! stale-evidence replay, wrong-key CMACs, foreign root, clipped proof,
 //! inflated claim) and [`verify_report`] must reject each with its exact
-//! cause — on histories produced by *both* verdict paths (classic
-//! online-replay and the precomputed bank-hit fast path), with the
-//! honest report accepted on both (zero false accepts, zero false
-//! rejects).
+//! cause, on a history the service judged by online replay, with the
+//! honest report accepted (zero false accepts, zero false rejects).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -529,7 +527,7 @@ fn takeover_rejected_on_both_paths() {
 
 // ---------------------------------------------------------------------
 // Evidence-tampering campaigns (PR-7): doctored DeviceReports against
-// verify_report, on histories from both verdict paths.
+// verify_report, on a service history.
 // ---------------------------------------------------------------------
 
 /// An honest fleet history's verifiable artifacts: the minted report,
@@ -542,15 +540,10 @@ struct HonestReport {
     now: u64,
 }
 
-/// Drives a deterministic two-device fleet (perfect links, synchronous
-/// bank refills) long enough to seal two epochs and leave a non-trivial
-/// chain suffix — one checksum round plus two liveness probes — then
-/// mints gpu-a's report. `bank_capacity = 0` forces every verdict down
-/// the classic online-replay path; `> 0` keeps them all on the
-/// precomputed bank-hit fast path, and the recorded per-round
-/// [`EvidencePath`] is asserted to prove which path produced the
-/// history.
-fn honest_fleet_report(bank_capacity: usize, expected_path: EvidencePath) -> HonestReport {
+/// Drives a deterministic two-device fleet (perfect links) long enough
+/// to seal two epochs and leave a non-trivial chain suffix — one
+/// checksum round plus two liveness probes — then mints gpu-a's report.
+fn honest_fleet_report() -> HonestReport {
     fn fleet_member(name: &str, seed: u8) -> FleetMember {
         let mut params = VfParams::test_tiny();
         params.iterations = 5;
@@ -576,7 +569,6 @@ fn honest_fleet_report(bank_capacity: usize, expected_path: EvidencePath) -> Hon
         deadline_slack: 2_000,
         calibration_runs: 5,
         policy: Policy::default(),
-        bank_capacity,
         epoch_interval: 30_000,
         freshness: FreshnessPolicy {
             stale_after: 60_000,
@@ -598,20 +590,7 @@ fn honest_fleet_report(bank_capacity: usize, expected_path: EvidencePath) -> Hon
     assert!(svc.probe_device("gpu-a").unwrap(), "liveness probe answers");
     assert!(svc.probe_device("gpu-a").unwrap(), "second probe answers");
 
-    // The history really came from the path under test.
-    let rounds: Vec<EvidencePath> = archive
-        .history(&svc, "gpu-a")
-        .iter()
-        .filter_map(|r| match r.payload {
-            EvidencePayload::ChecksumRound { path, .. } => Some(path),
-            _ => None,
-        })
-        .collect();
-    assert!(!rounds.is_empty(), "fleet run must record checksum rounds");
-    assert!(
-        rounds.iter().all(|p| *p == expected_path),
-        "bank_capacity={bank_capacity}: rounds must ride the {expected_path:?} path, got {rounds:?}"
-    );
+    assert_replay_path(&svc, &archive, "gpu-a");
 
     let report = svc.report_for("gpu-a").expect("epoch sealed with gpu-a");
     assert!(
@@ -787,25 +766,15 @@ fn assert_campaigns_rejected(h: &HonestReport) {
 /// the classic online-replay path.
 #[test]
 fn evidence_tampering_rejected_on_classic_path_history() {
-    let h = honest_fleet_report(0, EvidencePath::Classic);
-    assert_campaigns_rejected(&h);
-}
-
-/// The same eight campaigns against a history whose every verdict came
-/// out of the precomputed challenge bank.
-#[test]
-fn evidence_tampering_rejected_on_precomputed_path_history() {
-    let h = honest_fleet_report(2, EvidencePath::Precomputed);
+    let h = honest_fleet_report();
     assert_campaigns_rejected(&h);
 }
 
 // ---------------------------------------------------------------------
 // Byzantine campaigns (PR-10): verifier quorums, spot-check sampling and
 // the relay/topology detector, mounted against a live fleet. Each
-// campaign runs twice — once with `bank_capacity = 0` (every verdict on
-// the classic online-replay path) and once with a stocked bank (every
-// verdict on the precomputed fast path) — and asserts the exact
-// reject/suspect causes plus zero false accepts on both.
+// campaign asserts the exact reject/suspect causes plus zero false
+// accepts, and that every verdict came down the online-replay path.
 // ---------------------------------------------------------------------
 
 /// One fleet device for the Byzantine campaigns (same tiny build the
@@ -823,7 +792,6 @@ fn byz_member(name: &str, seed: u8) -> FleetMember {
 /// The knobs one Byzantine campaign turns; everything else is the same
 /// deterministic perfect-link fleet the evidence campaigns run on.
 struct FleetSpec {
-    bank_capacity: usize,
     quorum: QuorumConfig,
     sampling: SamplingConfig,
     relay_rtt_gate: u64,
@@ -885,7 +853,6 @@ fn byzantine_fleet(spec: &FleetSpec, names: &[&str]) -> (AttestationService<SimN
         deadline_slack: 10_000,
         calibration_runs: 5,
         policy: Policy::default(),
-        bank_capacity: spec.bank_capacity,
         epoch_interval: 30_000,
         quorum: spec.quorum,
         sampling: spec.sampling,
@@ -921,14 +888,9 @@ fn fleet_rounds_passed(svc: &AttestationService<SimNet>, name: &str) -> u64 {
         .rounds_passed
 }
 
-/// Asserts every checksum round a device recorded rode the expected
-/// verdict path — proving which path produced the history under test.
-fn assert_fleet_path(
-    svc: &AttestationService<SimNet>,
-    archive: &Archive,
-    name: &str,
-    expected: EvidencePath,
-) {
+/// Asserts every checksum round a device recorded was judged by online
+/// replay, the one verdict path the service runs.
+fn assert_replay_path(svc: &AttestationService<SimNet>, archive: &Archive, name: &str) {
     let rounds: Vec<EvidencePath> = archive
         .history(svc, name)
         .iter()
@@ -939,8 +901,8 @@ fn assert_fleet_path(
         .collect();
     assert!(!rounds.is_empty(), "{name}: no checksum rounds recorded");
     assert!(
-        rounds.iter().all(|p| *p == expected),
-        "{name}: rounds must ride the {expected:?} path, got {rounds:?}"
+        rounds.iter().all(|p| *p == EvidencePath::Classic),
+        "{name}: rounds must ride the classic path, got {rounds:?}"
     );
 }
 
@@ -975,12 +937,12 @@ fn quorum_votes_of(
 /// prevents it: the first covered epoch fails the round, the device
 /// leaves `Trusted` (losing skip eligibility), and the quarantine
 /// budget runs out.
-fn colluding_cheaters_under_sampling(bank_capacity: usize, expected_path: EvidencePath) {
+#[test]
+fn colluding_cheaters_under_sampling_rejected_on_classic_path() {
     let names = ["gpu-a", "gpu-b", "gpu-c", "gpu-evil1", "gpu-evil2"];
     let evil = ["gpu-evil1", "gpu-evil2"];
     let (mut svc, archive) = byzantine_fleet(
         &FleetSpec {
-            bank_capacity,
             quorum: QuorumConfig::default(),
             sampling: SamplingConfig {
                 coverage_per_mille: 500,
@@ -1048,18 +1010,8 @@ fn colluding_cheaters_under_sampling(bank_capacity: usize, expected_path: Eviden
     assert_eq!(counters.timing_rejects, 0);
     assert_eq!(counters.relay_rejects, 0);
     for n in names {
-        assert_fleet_path(&svc, &archive, n, expected_path);
+        assert_replay_path(&svc, &archive, n);
     }
-}
-
-#[test]
-fn colluding_cheaters_under_sampling_rejected_on_classic_path() {
-    colluding_cheaters_under_sampling(0, EvidencePath::Classic);
-}
-
-#[test]
-fn colluding_cheaters_under_sampling_rejected_on_precomputed_path() {
-    colluding_cheaters_under_sampling(2, EvidencePath::Precomputed);
 }
 
 /// Campaign: one lying verifier in an N = 4 quorum (threshold 3). The
@@ -1068,11 +1020,11 @@ fn colluding_cheaters_under_sampling_rejected_on_precomputed_path() {
 /// outvoted 3-to-1, flagged `VerifierSuspect`, and sealed into the
 /// evidence chain. The lifecycle never follows the liar: zero false
 /// accepts, zero false rejects.
-fn lying_verifier_outvoted(bank_capacity: usize, expected_path: EvidencePath) {
+#[test]
+fn lying_verifier_outvoted_on_classic_path() {
     let names = ["gpu-a", "gpu-b", "gpu-evil"];
     let (mut svc, archive) = byzantine_fleet(
         &FleetSpec {
-            bank_capacity,
             quorum: QuorumConfig {
                 verifiers: 4,
                 seed: 0x51D,
@@ -1184,30 +1136,20 @@ fn lying_verifier_outvoted(bank_capacity: usize, expected_path: EvidencePath) {
         );
     }
     for n in names {
-        assert_fleet_path(&svc, &archive, n, expected_path);
+        assert_replay_path(&svc, &archive, n);
     }
-}
-
-#[test]
-fn lying_verifier_outvoted_on_classic_path() {
-    lying_verifier_outvoted(0, EvidencePath::Classic);
-}
-
-#[test]
-fn lying_verifier_outvoted_on_precomputed_path() {
-    lying_verifier_outvoted(2, EvidencePath::Precomputed);
 }
 
 /// Campaign: ⌈N/3⌉ − 1 colluding lying verifiers at N = 7 (two
 /// colluders, threshold 5). The Byzantine minority dissents on every
 /// verdict, both are flagged, and the five honest replicas still clear
 /// the threshold on every round — the quorum stays correct.
-fn colluding_verifier_minority_outvoted(bank_capacity: usize, expected_path: EvidencePath) {
+#[test]
+fn colluding_verifier_minority_outvoted_on_classic_path() {
     let names = ["gpu-a", "gpu-b", "gpu-evil"];
     let colluders = [2usize, 5];
     let (mut svc, archive) = byzantine_fleet(
         &FleetSpec {
-            bank_capacity,
             quorum: QuorumConfig {
                 verifiers: 7,
                 seed: 0xBEEF,
@@ -1284,18 +1226,8 @@ fn colluding_verifier_minority_outvoted(bank_capacity: usize, expected_path: Evi
                 );
             }
         }
-        assert_fleet_path(&svc, &archive, n, expected_path);
+        assert_replay_path(&svc, &archive, n);
     }
-}
-
-#[test]
-fn colluding_verifier_minority_outvoted_on_classic_path() {
-    colluding_verifier_minority_outvoted(0, EvidencePath::Classic);
-}
-
-#[test]
-fn colluding_verifier_minority_outvoted_on_precomputed_path() {
-    colluding_verifier_minority_outvoted(2, EvidencePath::Precomputed);
 }
 
 /// Campaign: relay/proxy checksum outsourcing (§8). The relayed GPU's
@@ -1304,11 +1236,11 @@ fn colluding_verifier_minority_outvoted_on_precomputed_path() {
 /// and the round-trip topology evidence (wall clock minus device-
 /// reported compute vs the calibrated RTT gate) catches it: rejected as
 /// `relay`, never restartable, straight to quarantine.
-fn relay_outsourcing_caught_by_topology(bank_capacity: usize, expected_path: EvidencePath) {
+#[test]
+fn relay_outsourcing_rejected_on_classic_path() {
     let names = ["gpu-a", "gpu-relay"];
     let (mut svc, archive) = byzantine_fleet(
         &FleetSpec {
-            bank_capacity,
             quorum: QuorumConfig::default(),
             sampling: SamplingConfig::default(),
             relay_rtt_gate: 2_000,
@@ -1393,18 +1325,8 @@ fn relay_outsourcing_caught_by_topology(bank_capacity: usize, expected_path: Evi
         "every relay reject is sealed as a TooSlow round"
     );
     for n in names {
-        assert_fleet_path(&svc, &archive, n, expected_path);
+        assert_replay_path(&svc, &archive, n);
     }
-}
-
-#[test]
-fn relay_outsourcing_rejected_on_classic_path() {
-    relay_outsourcing_caught_by_topology(0, EvidencePath::Classic);
-}
-
-#[test]
-fn relay_outsourcing_rejected_on_precomputed_path() {
-    relay_outsourcing_caught_by_topology(2, EvidencePath::Precomputed);
 }
 
 /// Campaign: the sampling-aware cheater. A device compromised while
@@ -1412,7 +1334,8 @@ fn relay_outsourcing_rejected_on_precomputed_path() {
 /// it uncovered — cheating undetected exactly as long as the sampler
 /// looks away — and is caught the first covered epoch, within the
 /// modeled `epochs_to_detect(c, 98%)` bound.
-fn unsampled_epoch_cheater_caught_within_model(bank_capacity: usize, expected_path: EvidencePath) {
+#[test]
+fn unsampled_epoch_cheater_caught_on_classic_path() {
     let sampling = SamplingConfig {
         coverage_per_mille: 250,
         seed: 0x5A37,
@@ -1420,7 +1343,6 @@ fn unsampled_epoch_cheater_caught_within_model(bank_capacity: usize, expected_pa
     let names = ["gpu-a", "gpu-cheat"];
     let (mut svc, archive) = byzantine_fleet(
         &FleetSpec {
-            bank_capacity,
             quorum: QuorumConfig::default(),
             sampling,
             relay_rtt_gate: 0,
@@ -1549,18 +1471,8 @@ fn unsampled_epoch_cheater_caught_within_model(bank_capacity: usize, expected_pa
     assert_eq!(counters.quarantines, 1);
     assert!(counters.value_rejects >= u64::from(Policy::default().value_quarantine_after));
     for n in names {
-        assert_fleet_path(&svc, &archive, n, expected_path);
+        assert_replay_path(&svc, &archive, n);
     }
-}
-
-#[test]
-fn unsampled_epoch_cheater_caught_on_classic_path() {
-    unsampled_epoch_cheater_caught_within_model(0, EvidencePath::Classic);
-}
-
-#[test]
-fn unsampled_epoch_cheater_caught_on_precomputed_path() {
-    unsampled_epoch_cheater_caught_within_model(2, EvidencePath::Precomputed);
 }
 
 /// The reject causes are what the matrix table says they are — the

@@ -120,18 +120,6 @@ fn history_hash(svc: &AttestationService<SimNet>) -> u64 {
     h
 }
 
-/// Prometheus export with the `vf_bank_*` family dropped. Bank stock is
-/// ephemeral by design — it lives outside the snapshot and is recomputed
-/// after a restore — so its effectiveness counters legitimately restart
-/// at a crash; every other family must survive one byte-identically.
-fn durable_prom(reg: &Registry) -> String {
-    reg.to_prometheus()
-        .lines()
-        .filter(|l| !l.contains("vf_bank_"))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 struct SoakRun {
     svc: AttestationService<SimNet>,
     false_accepts: u64,
@@ -271,8 +259,8 @@ fn chaos_soak_never_false_accepts_reconverges_and_survives_a_crash() {
             "seed {seed}: crash-restart history diverged"
         );
         assert_eq!(
-            durable_prom(&baseline.reg),
-            durable_prom(&crashed.reg),
+            baseline.reg.to_prometheus(),
+            crashed.reg.to_prometheus(),
             "seed {seed}: telemetry exports diverged across crash-restore"
         );
         assert_eq!(

@@ -86,7 +86,6 @@ fn fleet() -> String {
     let cfg = ServiceConfig {
         reattest_interval: 50_000,
         epoch_interval: epoch,
-        bank_capacity: 0,
         ..ServiceConfig::default()
     };
     let mut svc =
@@ -100,7 +99,7 @@ fn fleet() -> String {
 }
 
 /// `exact`: a few cycle-accurate devices; every round runs the checksum
-/// on the simulator, and rounds are served from the challenge bank.
+/// on the simulator and is judged by replay.
 fn exact() -> String {
     const DEVICES: usize = 4;
     let epoch = 30_000;
@@ -144,7 +143,6 @@ fn byzantine() -> String {
         },
         relay_rtt_gate: 2_000,
         backoff_jitter: 500,
-        bank_capacity: 0,
         ..ServiceConfig::default()
     };
     let link = LinkProfile {

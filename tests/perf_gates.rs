@@ -88,8 +88,6 @@ fn fleet_of_10k_modeled_devices_meets_the_rounds_per_sec_floor() {
     let cfg = ServiceConfig {
         // At fleet scale the full history would be hundreds of MiB.
         event_capacity: 65_536,
-        // No challenge bank: modeled replays cost microseconds.
-        bank_capacity: 0,
         ..ServiceConfig::default()
     };
     let mut svc = AttestationService::new(cfg, DhGroup::test_group(), net);

@@ -284,16 +284,14 @@ fn enrollment_failure_quarantines_without_stopping_the_service() {
     assert_eq!(good.state_of("gpu-y"), Some(DeviceState::Trusted));
 }
 
-/// A fleet whose challenge banks are never stocked ahead, so every take
-/// computes its pair inline: every device converges to `Trusted` within
-/// `4r + 8` re-attest windows, and the telemetry attached before the
-/// first join agrees with the event log's books.
+/// A cycle-accurate fleet on a jittery link: every device converges to
+/// `Trusted` within `4r + 8` re-attest windows, and the telemetry
+/// attached before the first join agrees with the event log's books.
 #[test]
-fn threadless_bank_fleet_converges_and_telemetry_matches_the_log() {
+fn exact_fleet_converges_and_telemetry_matches_the_log() {
     const DEVICES: usize = 2;
     const ROUNDS: u64 = 2;
-    let mut cfg = ServiceConfig::default();
-    cfg.bank_capacity = cfg.calibration_runs + 2;
+    let cfg = ServiceConfig::default();
     let net = SimNet::new(
         7,
         LinkProfile {
@@ -344,10 +342,7 @@ fn threadless_bank_fleet_converges_and_telemetry_matches_the_log() {
 fn series_count_does_not_grow_with_the_fleet() {
     const ROUNDS: u64 = 2;
     let series = |devices: usize| {
-        let cfg = ServiceConfig {
-            bank_capacity: 0,
-            ..ServiceConfig::default()
-        };
+        let cfg = ServiceConfig::default();
         let mut svc = AttestationService::new(cfg, DhGroup::test_group(), perfect_net(7));
         let reg = Registry::new();
         svc.attach_telemetry(&reg);

@@ -1,6 +1,6 @@
 //! Golden-snapshot test for both telemetry exporters: a fully
 //! deterministic two-device fleet run (seeded network, zero jitter,
-//! inline bank refills, virtual clocks everywhere) must render
+//! virtual clocks everywhere) must render
 //! byte-for-byte identical JSON and Prometheus text across runs and
 //! machines. The committed goldens under `tests/goldens/` are the
 //! schema-stability contract: any change to series names, labels,
@@ -49,10 +49,9 @@ fn enclave(seed: u8) -> Enclave {
 }
 
 /// Runs the canonical deterministic scenario and returns its registry:
-/// two devices enroll and attest (bank-hit fast path, inline
-/// refills), then one is compromised with the §8 replay tap and driven
-/// through value rejects into quarantine — so accept, reject, bank,
-/// simulator and service series are all populated.
+/// two devices enroll and attest, then one is compromised with the §8
+/// replay tap and driven through value rejects into quarantine — so
+/// accept, reject, simulator and service series are all populated.
 fn deterministic_registry() -> Registry {
     let net = SimNet::new(
         42,
@@ -69,7 +68,6 @@ fn deterministic_registry() -> Registry {
         deadline_slack: 2_000,
         calibration_runs: 5,
         policy: Policy::default(),
-        bank_capacity: 2,
         ..ServiceConfig::default()
     };
     let reg = Registry::new();
