@@ -7,7 +7,6 @@ use sage_sgx_sim::{Enclave, Quote};
 use sage_telemetry::{Counter, Histogram, Registry};
 use sage_vf::{
     codegen::VfBuild, expected_checksum, BankConfig, BankCounters, ChallengeBank, Fingerprint,
-    ReplayPool,
 };
 
 use crate::{
@@ -186,16 +185,11 @@ impl Verifier {
     /// Synchronously precomputes up to `n` rounds into the bank (no-op
     /// without the fast path). This is the only way stock appears ahead
     /// of a take — deterministic tests and the offline phase of
-    /// benchmarks use it.
-    ///
-    /// Every `(round, block)` replay is scheduled on the shared
-    /// [`ReplayPool`] as one flat job list ([`ChallengeBank::fill_parallel`]),
-    /// so prefill saturates the verifier host's cores instead of
-    /// parallelizing only within one round at a time. The stocked
-    /// sequence is identical to the round-serial fill.
+    /// benchmarks use it. Rounds are replayed on the calling thread, in
+    /// generator order ([`ChallengeBank::fill`]).
     pub fn prefill_rounds(&mut self, n: usize) {
         if let Some(bank) = &self.bank {
-            bank.fill_parallel(n, ReplayPool::global());
+            bank.fill(n);
         }
     }
 

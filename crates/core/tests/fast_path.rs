@@ -131,11 +131,11 @@ fn poisoned_bank_stock_falls_back_to_online_replay() {
     assert!(expected.is_none(), "poisoned stock must not be issued");
     let (got, measured) = session.run_checksum(&ch).unwrap();
     verifier.check_response(&ch, got, measured).unwrap();
-    // And the online expected value is bit-exact with the unpooled
+    // And the online expected value is bit-exact with the scalar
     // oracle — fallback does not change verdict semantics.
     assert_eq!(
         verifier.expected(&ch),
-        sage_vf::replay::expected_checksum_unpooled(session.build(), &ch)
+        sage_vf::replay::expected_checksum_scalar(session.build(), &ch)
     );
     let c = verifier.bank_counters().unwrap();
     assert_eq!(c.poisoned, 2, "both corrupted pairs recorded");

@@ -18,23 +18,6 @@ use crate::{
     stats::KernelStats,
 };
 
-/// How [`Device::run`] executes the SMs of a grid.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ExecMode {
-    /// One SM at a time on the calling thread, ticking every cycle (no
-    /// stall fast-forwarding). The slow reference mode — `--sequential`
-    /// in the benchmark harness.
-    Sequential,
-    /// One worker thread per available core pulling whole SMs off a
-    /// queue, each SM fast-forwarding through all-stall windows. Bit-
-    /// exact with [`ExecMode::Sequential`]: same checksums, same per-SM
-    /// cycle counts, same stall breakdowns (SMs only interact through
-    /// commutative global atomics, and per-SM timing jitter is seeded by
-    /// `sm_id`, not by scheduling order).
-    #[default]
-    Parallel,
-}
-
 /// Opaque context identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ContextId(pub u32);
@@ -132,7 +115,6 @@ pub struct Device {
     launch_counter: usize,
     cycle_limit: u64,
     trace_capacity: Option<usize>,
-    exec_mode: ExecMode,
     telemetry: Option<crate::telemetry::SimTelemetry>,
     /// Bump arena for per-run transient device state (launch parameter
     /// blocks): carved out of device memory lazily on first use, then
@@ -154,6 +136,13 @@ struct ParamArena {
     cursor: u32,
 }
 
+/// The host's core count, read once per process: each
+/// `available_parallelism` call reads cgroup files.
+fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 impl Device {
     /// Creates a device with the given configuration.
     pub fn new(cfg: DeviceConfig) -> Device {
@@ -172,7 +161,6 @@ impl Device {
             launch_counter: 0,
             cycle_limit: 20_000_000_000,
             trace_capacity: None,
-            exec_mode: ExecMode::default(),
             telemetry: None,
             param_arena: None,
             param_stage: Vec::new(),
@@ -188,17 +176,6 @@ impl Device {
     /// `fetch_add`s per run.
     pub fn install_telemetry(&mut self, reg: &sage_telemetry::Registry) {
         self.telemetry = Some(crate::telemetry::SimTelemetry::new(reg));
-    }
-
-    /// Selects how [`Device::run`] executes SMs (parallel + fast-forward
-    /// by default; sequential tick-per-cycle as the reference mode).
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.exec_mode = mode;
-    }
-
-    /// The current execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
     }
 
     /// Enables per-SM issue tracing on subsequent runs (last `capacity`
@@ -367,8 +344,24 @@ impl Device {
     /// SM interleaves resident blocks cycle by cycle. SMs are simulated
     /// independently (cross-SM memory ordering is not modelled beyond
     /// commutative atomics — sufficient for every workload in this
-    /// reproduction, see DESIGN.md).
+    /// reproduction, see DESIGN.md), from a shared claim loop on up to
+    /// one worker per host core, the calling thread among them; each SM
+    /// fast-forwards through windows where every partition is stalled.
     pub fn run(&mut self) -> Result<RunReport> {
+        self.execute(false)
+    }
+
+    /// The reference for [`Device::run`]: one SM at a time on the calling
+    /// thread, ticking every cycle (no stall fast-forward). Bit-exact with
+    /// `run` — same checksums, same per-SM cycle counts, same stall
+    /// breakdowns (SMs only interact through commutative global atomics,
+    /// and per-SM timing jitter is seeded by `sm_id`, not by scheduling
+    /// order). The slow oracle `run` is tested against.
+    pub fn run_reference(&mut self) -> Result<RunReport> {
+        self.execute(true)
+    }
+
+    fn execute(&mut self, reference: bool) -> Result<RunReport> {
         let queued = std::mem::take(&mut self.queued);
         if queued.is_empty() {
             return Ok(RunReport::default());
@@ -472,65 +465,70 @@ impl Device {
             sm.run(mem, cycle_limit)
         };
 
-        let mut results: Vec<Option<(u32, Result<SmReport>)>> = Vec::new();
-        match self.exec_mode {
-            ExecMode::Sequential => {
-                for (sm_id, blocks) in jobs {
-                    let report = run_sm(sm_id, blocks, false);
-                    let failed = report.is_err();
-                    results.push(Some((sm_id, report)));
-                    if failed {
+        let results: Vec<(u32, Result<SmReport>)> = if reference {
+            let mut results = Vec::with_capacity(n_jobs);
+            for (sm_id, blocks) in jobs {
+                let report = run_sm(sm_id, blocks, false);
+                let failed = report.is_err();
+                results.push((sm_id, report));
+                if failed {
+                    break;
+                }
+            }
+            results
+        } else {
+            // Only a run with blocks on two or more SMs asks for the core
+            // count: a one-SM device such as `sim_tiny` runs on the caller.
+            let workers = if n_jobs < 2 {
+                1
+            } else {
+                host_cores().min(n_jobs)
+            };
+            // Workers claim job indices from a shared counter; each
+            // result lands in its job's slot, so the merge below is in
+            // `sm_id` order no matter which worker ran which SM. The
+            // calling thread claims too, so only `workers − 1` helpers
+            // are spawned.
+            type JobSlot = std::sync::Mutex<Option<(u32, Vec<PendingBlock>)>>;
+            let job_slots: Vec<JobSlot> = jobs
+                .into_iter()
+                .map(|j| std::sync::Mutex::new(Some(j)))
+                .collect();
+            let next = std::sync::atomic::AtomicUsize::new(0);
+            let claim = || {
+                let mut local = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    if i >= job_slots.len() {
                         break;
                     }
+                    let (sm_id, blocks) = job_slots[i]
+                        .lock()
+                        .expect("no poisoning")
+                        .take()
+                        .expect("each job claimed once");
+                    local.push((i, sm_id, run_sm(sm_id, blocks, true)));
                 }
-            }
-            ExecMode::Parallel => {
-                let workers = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-                    .min(n_jobs)
-                    .max(1);
-                // Workers claim job indices from a shared counter; each
-                // result lands in its job's slot, so the merge below is
-                // in `sm_id` order no matter which worker ran which SM.
-                // The calling thread claims too, so only `workers − 1`
-                // helpers are spawned: a single-SM run spawns none.
-                type JobSlot = std::sync::Mutex<Option<(u32, Vec<PendingBlock>)>>;
-                let job_slots: Vec<JobSlot> = jobs
-                    .into_iter()
-                    .map(|j| std::sync::Mutex::new(Some(j)))
-                    .collect();
-                let next = std::sync::atomic::AtomicUsize::new(0);
-                let claim = || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= job_slots.len() {
-                            break;
-                        }
-                        let (sm_id, blocks) = job_slots[i]
-                            .lock()
-                            .expect("no poisoning")
-                            .take()
-                            .expect("each job claimed once");
-                        local.push((i, sm_id, run_sm(sm_id, blocks, true)));
-                    }
-                    local
-                };
-                let collected: Vec<(usize, u32, Result<SmReport>)> = std::thread::scope(|scope| {
-                    let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
-                    let mut collected = claim();
-                    for h in helpers {
-                        collected.extend(h.join().expect("SM worker panicked"));
-                    }
-                    collected
-                });
-                results.resize_with(n_jobs, || None);
-                for (i, sm_id, report) in collected {
-                    results[i] = Some((sm_id, report));
+                local
+            };
+            let collected: Vec<(usize, u32, Result<SmReport>)> = std::thread::scope(|scope| {
+                let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+                let mut collected = claim();
+                for h in helpers {
+                    collected.extend(h.join().expect("SM worker panicked"));
                 }
+                collected
+            });
+            let mut results: Vec<Option<(u32, Result<SmReport>)>> = Vec::new();
+            results.resize_with(n_jobs, || None);
+            for (i, sm_id, report) in collected {
+                results[i] = Some((sm_id, report));
             }
-        }
+            results
+                .into_iter()
+                .map(|r| r.expect("every job produced a report"))
+                .collect()
+        };
 
         // Deterministic merge in sm_id order (errors propagate in the
         // same order regardless of which worker hit them first).
@@ -538,8 +536,7 @@ impl Device {
         let mut total_cycles = 0u64;
         let mut traces = Vec::new();
         let mut per_sm_stats = Vec::new();
-        for entry in results {
-            let (sm_id, report) = entry.expect("every job produced a report");
+        for (sm_id, report) in results {
             let mut report = report?;
             // Injected SM stall: the whole SM finishes `stall` cycles
             // later, so its cycle count and every launch completion it

@@ -78,7 +78,7 @@ pub mod warp;
 pub use channel::{ChannelId, Command, CommandProcessor, Completion};
 pub use config::{DeviceConfig, Latencies};
 pub use dcache::{DataCache, DataCacheConfig};
-pub use device::{BusTap, ContextId, Device, ExecMode, LaunchParams, LaunchReport, RunReport};
+pub use device::{BusTap, ContextId, Device, LaunchParams, LaunchReport, RunReport};
 pub use error::{Result, SimError};
 pub use fault::{ChaosSpec, DeviceFault, FaultCounters, FaultHook, FaultPlan, RunEffects};
 pub use mem::GlobalMemory;

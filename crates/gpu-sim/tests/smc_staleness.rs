@@ -7,10 +7,11 @@
 //! line is resident, and must observe the patched value once the line has
 //! been evicted by capacity. Both directions are pinned here end to end —
 //! a device-visible guarantee the SAGE checksum's SMC step depends on —
-//! in both execution modes, so neither the decoded-line optimisation nor
-//! fast-forwarding can silently break eviction semantics.
+//! through both `Device::run` and the tick-per-cycle `run_reference`, so
+//! neither the decoded-line optimisation nor fast-forwarding can silently
+//! break eviction semantics.
 
-use sage_gpu_sim::{Device, DeviceConfig, ExecMode, LaunchParams};
+use sage_gpu_sim::{Device, DeviceConfig, LaunchParams};
 use sage_isa::{encode::IMM_BYTE_OFFSET, CmpOp, Operand, Pred, PredReg, ProgramBuilder, Reg};
 
 const STALE: u32 = 0x11;
@@ -51,10 +52,10 @@ fn smc_kernel(evict_via_filler: bool) -> sage_isa::Program {
     b.build().expect("labels resolve")
 }
 
-/// Runs the kernel and returns the value the second pass observed.
-fn observed_immediate(evict_via_filler: bool, mode: ExecMode) -> u32 {
+/// Runs the kernel (through `run_reference` when `reference`, else
+/// `run`) and returns the value the second pass observed.
+fn observed_immediate(evict_via_filler: bool, reference: bool) -> u32 {
     let mut dev = Device::new(DeviceConfig::sim_tiny());
-    dev.set_exec_mode(mode);
     let ctx = dev.create_context();
     let mut prog = smc_kernel(evict_via_filler);
     let code = dev.alloc(prog.byte_len() as u32).unwrap();
@@ -62,8 +63,8 @@ fn observed_immediate(evict_via_filler: bool, mode: ExecMode) -> u32 {
     prog.relocate(code);
     dev.memcpy_h2d(code, &prog.encode()).unwrap();
     let out = dev.alloc(4).unwrap();
-    let (report, _) = dev
-        .run_single(LaunchParams {
+    let id = dev
+        .launch(LaunchParams {
             ctx,
             entry_pc: code,
             grid_dim: 1,
@@ -73,7 +74,13 @@ fn observed_immediate(evict_via_filler: bool, mode: ExecMode) -> u32 {
             params: vec![out, smc_pc + IMM_BYTE_OFFSET as u32, PATCHED],
         })
         .unwrap();
-    assert!(report.completion_cycle > 0);
+    let report = if reference {
+        dev.run_reference()
+    } else {
+        dev.run()
+    }
+    .unwrap();
+    assert!(report.launches[id].completion_cycle > 0);
     // The store really did land in memory in both variants.
     let mem = dev.peek(smc_pc + IMM_BYTE_OFFSET as u32, 4).unwrap();
     assert_eq!(u32::from_le_bytes(mem.try_into().unwrap()), PATCHED);
@@ -83,22 +90,22 @@ fn observed_immediate(evict_via_filler: bool, mode: ExecMode) -> u32 {
 
 #[test]
 fn patched_immediate_is_stale_while_line_is_resident() {
-    for mode in [ExecMode::Parallel, ExecMode::Sequential] {
+    for reference in [false, true] {
         assert_eq!(
-            observed_immediate(false, mode),
+            observed_immediate(false, reference),
             STALE,
-            "resident line must serve the pre-decoded (stale) instruction ({mode:?})"
+            "resident line must serve the pre-decoded (stale) instruction (reference {reference})"
         );
     }
 }
 
 #[test]
 fn patched_immediate_is_observed_after_capacity_eviction() {
-    for mode in [ExecMode::Parallel, ExecMode::Sequential] {
+    for reference in [false, true] {
         assert_eq!(
-            observed_immediate(true, mode),
+            observed_immediate(true, reference),
             PATCHED,
-            "capacity eviction must expose the patched bytes ({mode:?})"
+            "capacity eviction must expose the patched bytes (reference {reference})"
         );
     }
 }

@@ -1,9 +1,9 @@
 //! A shared atomic counter.
 //!
-//! The control plane bumps its counters from one thread, and the few
-//! multi-threaded producers (replay-pool prefills, per-SM simulator
-//! folds) bump once per refill or per run, not per cycle — so one
-//! relaxed `fetch_add` on one `AtomicU64` is the whole cost.
+//! The control plane bumps its counters from one thread, and the other
+//! producers (bank refills, the simulator's per-run stats fold) bump
+//! once per refill or per run, not per cycle — so one relaxed
+//! `fetch_add` on one `AtomicU64` is the whole cost.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

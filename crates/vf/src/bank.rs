@@ -6,7 +6,7 @@
 //! verifier-side precomputation trick of SWATT/Pioneer-style protocols).
 //! The bank realizes that: a bounded queue of
 //! `(challenges, expected_checksum)` pairs, stocked *between* rounds
-//! ([`ChallengeBank::fill`], [`prefill_banks`]), so a round that hits
+//! ([`ChallengeBank::fill`]), so a round that hits
 //! the bank does **zero** replay on its critical path.
 //!
 //! Safety-relevant invariants:
@@ -30,21 +30,16 @@
 //!   a poisoned bank can cost latency but never a false accept.
 //!
 //! The bank never starts a thread. Stock appears only through
-//! [`ChallengeBank::fill`], [`prefill_banks`] or the inline refill of a
-//! blocking take, always in generator order, so the consumed challenge
-//! sequence is a pure function of the generator.
+//! [`ChallengeBank::fill`] or the inline refill of a blocking take,
+//! always in generator order, so the consumed challenge sequence is a
+//! pure function of the generator.
 
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
 
 use sage_telemetry::{Counter, Registry};
 
-use crate::{
-    batch::{replay_block_batched, StepTrace},
-    codegen::VfBuild,
-    pool::ReplayPool,
-    replay::expected_checksum,
-};
+use crate::{codegen::VfBuild, replay::expected_checksum};
 
 /// Identity of one exact VF build (see [`VfBuild::fingerprint`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -218,8 +213,7 @@ impl BankState {
 }
 
 /// A bounded, fingerprint-keyed queue of precomputed rounds. The state
-/// sits behind a lock so the bank works through `&self`: [`prefill_banks`]
-/// shares banks with its pool threads.
+/// sits behind a lock so the bank works through `&self`.
 pub struct ChallengeBank {
     build: VfBuild,
     fingerprint: Fingerprint,
@@ -369,88 +363,6 @@ impl ChallengeBank {
             state.stock(round);
         }
     }
-
-    /// Precomputes up to `n` pairs with every `(round, block)` replay
-    /// scheduled on `pool` at once — see [`prefill_banks`], of which
-    /// this is the single-bank case.
-    pub fn fill_parallel(&self, n: usize, pool: &ReplayPool) {
-        prefill_banks(&[self], n, pool);
-    }
-}
-
-/// Precomputes up to `n` rounds into **each** bank, scheduling every
-/// single `(fingerprint, round, block)` replay on `pool` as one flat
-/// work-stealing job list.
-///
-/// [`ChallengeBank::fill`] is round-serial: each round's replay
-/// parallelizes over its own grid blocks, but rounds — and banks —
-/// proceed one after another, so a grid smaller than the machine leaves
-/// cores idle at every round boundary and a fleet of fingerprints
-/// serializes entirely. Here the pool's claim loop steals the next
-/// un-replayed *block* wherever it lives, keeping every core busy until
-/// all banks are stocked.
-///
-/// Determinism is preserved: challenge sets are drawn under each bank's
-/// state lock in generator order before any replay starts, and rounds
-/// enter each queue in that same draw order — only the replay
-/// *computation* is reordered, and block checksums are combined with the
-/// same wrapping sums as the serial path.
-pub fn prefill_banks(banks: &[&ChallengeBank], n: usize, pool: &ReplayPool) {
-    // Phase 1: draw challenges (generator order) and size the job list.
-    let mut drawn: Vec<Vec<Vec<[u8; 16]>>> = Vec::with_capacity(banks.len());
-    for bank in banks {
-        let mut state = lock_unpoisoned(&bank.state);
-        let room = bank.capacity.saturating_sub(state.queue.len()).min(n);
-        let blocks = bank.build.params.grid_blocks as usize;
-        let sets: Vec<Vec<[u8; 16]>> = (0..room).map(|_| state.draw_challenges(blocks)).collect();
-        drawn.push(sets);
-    }
-
-    // Phase 2: one flat (bank, round, block) job list over the pool.
-    let traces: Vec<StepTrace> = banks.iter().map(|b| StepTrace::new(&b.build)).collect();
-    let partials: Vec<Vec<Vec<Mutex<[u32; 8]>>>> = banks
-        .iter()
-        .zip(&drawn)
-        .map(|(bank, sets)| {
-            let blocks = bank.build.params.grid_blocks as usize;
-            sets.iter()
-                .map(|_| (0..blocks).map(|_| Mutex::new([0u32; 8])).collect())
-                .collect()
-        })
-        .collect();
-    // (bank index, round index, block) triples — the flat job list.
-    let mut jobs: Vec<(usize, usize, u32)> = Vec::new();
-    for (i, bank) in banks.iter().enumerate() {
-        let blocks = bank.build.params.grid_blocks;
-        for r in 0..drawn[i].len() {
-            for b in 0..blocks {
-                jobs.push((i, r, b));
-            }
-        }
-    }
-    pool.run_scoped(jobs.len(), &|idx| {
-        let (i, r, b) = jobs[idx];
-        let sums = replay_block_batched(&banks[i].build, &traces[i], &drawn[i][r][b as usize], b);
-        *lock_unpoisoned(&partials[i][r][b as usize]) = sums;
-    });
-
-    // Phase 3: reduce and enqueue, per bank, in draw order.
-    for ((bank, sets), parts) in banks.iter().zip(drawn).zip(partials) {
-        let mut state = lock_unpoisoned(&bank.state);
-        for (challenges, blocks) in sets.into_iter().zip(parts) {
-            let mut expected = [0u32; 8];
-            for cell in blocks {
-                let part = lock_unpoisoned(&cell);
-                for j in 0..8 {
-                    expected[j] = expected[j].wrapping_add(part[j]);
-                }
-            }
-            state.stock(PrecomputedRound {
-                challenges,
-                expected,
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -514,50 +426,40 @@ mod tests {
 
     #[test]
     fn parallel_fill_matches_serial_fill() {
-        // Same generator seed → the work-stealing prefill must stock the
-        // same rounds, in the same order, with the same checksums as the
-        // round-serial fill.
-        let serial = sync_bank(7, 4, 3);
-        serial.fill(4);
-        for pool in [ReplayPool::serial(), ReplayPool::new(3)] {
-            let parallel = sync_bank(7, 4, 3);
-            parallel.fill_parallel(4, &pool);
-            let fp = serial.fingerprint();
-            assert_eq!(parallel.len(), serial.len());
-            let reference = sync_bank(7, 4, 3);
-            reference.fill(4);
-            for _ in 0..4 {
-                let a = reference.take(&fp).unwrap().expect("stock");
-                let b = parallel.take(&fp).unwrap().expect("stock");
-                assert_eq!(a.challenges, b.challenges);
-                assert_eq!(a.expected, b.expected);
-            }
-        }
-    }
-
-    #[test]
-    fn prefill_banks_stocks_every_fingerprint() {
-        // Three banks over distinct builds, one flat job list: every bank
-        // ends up stocked with pairs bit-exact against direct replay.
-        let banks = [sync_bank(7, 2, 1), sync_bank(8, 2, 2), sync_bank(9, 2, 3)];
-        let refs: Vec<&ChallengeBank> = banks.iter().collect();
-        let pool = ReplayPool::new(2);
-        prefill_banks(&refs, 2, &pool);
-        for (bank, fill_seed) in banks.iter().zip([7u32, 8, 9]) {
-            assert_eq!(bank.len(), 2);
-            let build = tiny_build(fill_seed);
-            let fp = bank.fingerprint();
-            while let Some(round) = bank.take(&fp).unwrap() {
-                assert_eq!(round.expected, expected_checksum(&build, &round.challenges));
-            }
+        // A fill stocks the rounds a caller would get by drawing one
+        // challenge set per round from the same generator, in order, and
+        // replaying each with the scalar oracle.
+        let bank = sync_bank(7, 4, 3);
+        bank.fill(4);
+        let build = tiny_build(7);
+        let mut gen = counter_gen(3);
+        let fp = bank.fingerprint();
+        for _ in 0..4 {
+            let challenges: Vec<[u8; 16]> = (0..build.params.grid_blocks)
+                .map(|_| {
+                    let mut c = [0u8; 16];
+                    gen(&mut c);
+                    c
+                })
+                .collect();
+            let round = bank.take(&fp).unwrap().expect("stock");
+            assert_eq!(round.challenges, challenges);
+            assert_eq!(
+                round.expected,
+                crate::replay::expected_checksum_scalar(&build, &challenges)
+            );
         }
     }
 
     #[test]
     fn parallel_fill_respects_capacity() {
+        // A fill onto partial stock tops the bank up to capacity, no
+        // further.
         let bank = sync_bank(7, 2, 5);
-        bank.fill_parallel(10, &ReplayPool::serial());
+        bank.fill(1);
+        bank.fill(10);
         assert_eq!(bank.len(), 2);
+        assert_eq!(bank.counters().refills, 2);
     }
 
     #[test]
@@ -645,7 +547,7 @@ mod tests {
         let build = tiny_build(7);
         assert_eq!(
             round.expected,
-            crate::replay::expected_checksum_unpooled(&build, &round.challenges)
+            crate::replay::expected_checksum_scalar(&build, &round.challenges)
         );
         let c = bank.counters();
         assert_eq!(c.poisoned, 1);
@@ -680,7 +582,7 @@ mod tests {
         let build = tiny_build(7);
         assert_eq!(
             round.expected,
-            crate::replay::expected_checksum_unpooled(&build, &round.challenges)
+            crate::replay::expected_checksum_scalar(&build, &round.challenges)
         );
         let c = bank.counters();
         assert_eq!(c.poisoned, 1);

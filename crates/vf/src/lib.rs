@@ -17,8 +17,7 @@
 //!   deliberately conservative "PTXAS-style" schedule used for the §7.1
 //!   comparison;
 //! - [`replay`] — the verifier's bit-exact recomputation of the expected
-//!   checksum (parallelized with scoped std threads, as the paper's
-//!   multi-core verification hosts);
+//!   checksum, on the calling thread;
 //! - [`coverage`] — the §7.3 memory-region inclusion-probability
 //!   analysis.
 //!
@@ -38,16 +37,12 @@ pub mod codegen;
 pub mod coverage;
 pub mod layout;
 pub mod params;
-pub mod pool;
 pub mod replay;
 pub mod spec;
 
-pub use bank::{
-    prefill_banks, BankConfig, BankCounters, ChallengeBank, Fingerprint, PrecomputedRound,
-};
+pub use bank::{BankConfig, BankCounters, ChallengeBank, Fingerprint, PrecomputedRound};
 pub use batch::{replay_block_batched, StepTrace};
 pub use codegen::{build_vf, build_vf_inline};
 pub use layout::VfLayout;
 pub use params::{SmcMode, VfParams};
-pub use pool::ReplayPool;
-pub use replay::{expected_checksum, expected_checksum_unpooled, expected_checksum_with_pool};
+pub use replay::{expected_checksum, expected_checksum_scalar};

@@ -3,18 +3,15 @@
 //! The verifier knows everything the device computes from: the static
 //! region bytes (it built them), the challenges (it chose them), and the
 //! launch geometry. Replaying the [`crate::spec`] semantics yields
-//! the expected 8-word grid checksum, parallelized over thread blocks
-//! on the persistent [`crate::pool::ReplayPool`] (the paper's
-//! verification hosts are many-core CPUs — Table 1 "verification
-//! (AMD/Intel)" rows).
-
-use std::sync::Mutex;
+//! the expected 8-word grid checksum. Replay runs on the calling thread,
+//! block after block: the grids the attestation service replays each
+//! round are one or two blocks, where handing blocks to other threads
+//! costs more than the replay itself (DESIGN.md §6.3).
 
 use crate::{
     batch::{replay_block_batched, StepTrace},
     codegen::VfBuild,
     params::SmcMode,
-    pool::ReplayPool,
     spec::{self, ThreadState},
 };
 
@@ -100,11 +97,8 @@ pub fn replay_block(build: &VfBuild, challenge: &[u8; 16], block: u32) -> [u32; 
 /// cells after a faithful run): the wrapping sum over every thread's
 /// final checksum registers.
 ///
-/// Blocks are replayed with the batched SoA engine
-/// ([`crate::batch::replay_block_batched`]) on the shared persistent
-/// [`ReplayPool`] — no threads are created per call, so tight
-/// verification loops (calibration, fleet rounds) pay only the replay
-/// itself.
+/// Blocks are replayed in order on the calling thread with the batched
+/// SoA engine ([`crate::batch::replay_block_batched`]).
 ///
 /// `challenges` must hold one 16-byte challenge per block.
 ///
@@ -112,95 +106,37 @@ pub fn replay_block(build: &VfBuild, challenge: &[u8; 16], block: u32) -> [u32; 
 ///
 /// Panics if `challenges.len() != grid_blocks`.
 pub fn expected_checksum(build: &VfBuild, challenges: &[[u8; 16]]) -> [u32; 8] {
-    expected_checksum_with_pool(build, challenges, ReplayPool::global())
+    // The step trace depends only on the build, so every block shares it.
+    let trace = StepTrace::new(build);
+    sum_blocks(build, challenges, |b, c| {
+        replay_block_batched(build, &trace, c, b)
+    })
 }
 
-/// [`expected_checksum`] on an explicit pool — tests pass
-/// [`ReplayPool::serial`] for a deterministic, thread-free replay.
-pub fn expected_checksum_with_pool(
+/// [`expected_checksum`] through the per-lane scalar [`replay_block`].
+///
+/// Retained as the oracle the batched engine is tested against and as
+/// the scalar baseline of the batched-refill timing gate
+/// (`tests/perf_gates.rs`); not used on any production path.
+pub fn expected_checksum_scalar(build: &VfBuild, challenges: &[[u8; 16]]) -> [u32; 8] {
+    sum_blocks(build, challenges, |b, c| replay_block(build, c, b))
+}
+
+/// Wrapping sum of `block(b, challenge)` over every block, in order.
+fn sum_blocks(
     build: &VfBuild,
     challenges: &[[u8; 16]],
-    pool: &ReplayPool,
+    block: impl Fn(u32, &[u8; 16]) -> [u32; 8],
 ) -> [u32; 8] {
     assert_eq!(
         challenges.len(),
         build.params.grid_blocks as usize,
         "one challenge per block required"
     );
-    let blocks = build.params.grid_blocks as usize;
-    // The step trace is shared by every block (it depends only on the
-    // build parameters), so it is computed once out here rather than
-    // per block on the pool.
-    let trace = StepTrace::new(build);
-    let partials = Mutex::new(vec![[0u32; 8]; blocks]);
-    pool.run_scoped(blocks, &|b| {
-        let sums = replay_block_batched(build, &trace, &challenges[b], b as u32);
-        partials.lock().expect("replay partials")[b] = sums;
-    });
     let mut out = [0u32; 8];
-    for part in partials.into_inner().expect("replay partials") {
-        for j in 0..8 {
-            out[j] = out[j].wrapping_add(part[j]);
-        }
-    }
-    out
-}
-
-/// The pre-pool implementation, spawning fresh scoped threads per call.
-///
-/// Retained as the oracle the pooled and batched paths are tested
-/// against and as the scalar baseline of the batched-refill timing gate
-/// (`tests/perf_gates.rs`); not used on any production path.
-pub fn expected_checksum_unpooled(build: &VfBuild, challenges: &[[u8; 16]]) -> [u32; 8] {
-    assert_eq!(
-        challenges.len(),
-        build.params.grid_blocks as usize,
-        "one challenge per block required"
-    );
-    let blocks = build.params.grid_blocks;
-    let mut partials = vec![[0u32; 8]; blocks as usize];
-
-    // Parallelize over blocks; fall back to sequential for tiny grids.
-    if blocks >= 4 {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .min(blocks as usize);
-        let next = std::sync::atomic::AtomicU32::new(0);
-        let done: Vec<(u32, [u32; 8])> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            let b = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            if b >= blocks {
-                                break;
-                            }
-                            local.push((b, replay_block(build, &challenges[b as usize], b)));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("replay worker panicked"))
-                .collect()
-        });
-        for (b, sums) in done {
-            partials[b as usize] = sums;
-        }
-    } else {
-        for b in 0..blocks {
-            partials[b as usize] = replay_block(build, &challenges[b as usize], b);
-        }
-    }
-
-    let mut out = [0u32; 8];
-    for part in partials {
-        for j in 0..8 {
-            out[j] = out[j].wrapping_add(part[j]);
+    for (b, c) in challenges.iter().enumerate() {
+        for (o, s) in out.iter_mut().zip(block(b as u32, c)) {
+            *o = o.wrapping_add(s);
         }
     }
     out
@@ -271,12 +207,13 @@ mod tests {
 
     #[test]
     fn parallel_path_matches_sequential() {
+        // The batched whole-grid replay equals the per-block scalar sums
+        // added up by hand.
         let mut p = VfParams::test_tiny();
-        p.grid_blocks = 6; // exercises the scoped-thread path
+        p.grid_blocks = 6;
         p.iterations = 3;
         let build = build_vf(&p, 0x1000, 7).unwrap();
         let ch = challenges(p.grid_blocks, 3);
-        let par = expected_checksum(&build, &ch);
         let mut seq = [0u32; 8];
         for b in 0..p.grid_blocks {
             let part = replay_block(&build, &ch[b as usize], b);
@@ -284,11 +221,12 @@ mod tests {
                 seq[j] = seq[j].wrapping_add(part[j]);
             }
         }
-        assert_eq!(par, seq);
+        assert_eq!(expected_checksum(&build, &ch), seq);
     }
 
     #[test]
     fn pooled_matches_unpooled_oracle() {
+        // The batched engine against the scalar oracle, whole grid.
         let mut p = VfParams::test_tiny();
         p.grid_blocks = 6;
         p.iterations = 3;
@@ -296,20 +234,8 @@ mod tests {
         let ch = challenges(p.grid_blocks, 9);
         assert_eq!(
             expected_checksum(&build, &ch),
-            expected_checksum_unpooled(&build, &ch)
+            expected_checksum_scalar(&build, &ch)
         );
-    }
-
-    #[test]
-    fn serial_pool_is_deterministic_and_exact() {
-        let p = VfParams::test_tiny();
-        let build = build_vf(&p, 0x1000, 7).unwrap();
-        let ch = challenges(p.grid_blocks, 5);
-        let serial = ReplayPool::serial();
-        let a = expected_checksum_with_pool(&build, &ch, &serial);
-        let b = expected_checksum_with_pool(&build, &ch, &serial);
-        assert_eq!(a, b);
-        assert_eq!(a, expected_checksum(&build, &ch));
     }
 
     #[test]

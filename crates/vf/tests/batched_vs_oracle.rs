@@ -1,8 +1,8 @@
 //! Seeded differential suite for the batched SoA replay engine.
 //!
-//! The batched engine (`replay_block_batched` and the pooled
+//! The batched engine (`replay_block_batched` and the
 //! `expected_checksum` built on it) must agree bit for bit with the
-//! sequential scalar oracle (`replay_block` / `expected_checksum_unpooled`)
+//! scalar oracle (`replay_block` / `expected_checksum_scalar`)
 //! across both code-generator schedules (the optimized "sass-opt" one and
 //! the compiler-style "ptx-naive" one), every SMC mode, inner loops, and
 //! multiple batch counts — and with the device itself, including runs
@@ -13,7 +13,7 @@
 
 use sage_gpu_sim::{Device, DeviceConfig, DeviceFault, FaultPlan, LaunchParams};
 use sage_vf::{
-    build_vf, expected_checksum, expected_checksum_unpooled, replay_block_batched, SmcMode,
+    build_vf, expected_checksum, expected_checksum_scalar, replay_block_batched, SmcMode,
     StepTrace, VfParams,
 };
 
@@ -106,7 +106,7 @@ fn batched_matches_scalar_oracle_across_matrix() {
                 let p = params(naive, smc, inner, threads);
                 let build = build_vf(&p, BASE, seed).unwrap();
                 let ch = challenges(p.grid_blocks, seed.rotate_left(7));
-                let oracle = expected_checksum_unpooled(&build, &ch);
+                let oracle = expected_checksum_scalar(&build, &ch);
                 let batched = expected_checksum(&build, &ch);
                 assert_eq!(
                     batched, oracle,
@@ -147,7 +147,7 @@ fn device_matches_both_replay_paths_without_faults() {
         );
         assert_eq!(
             device,
-            expected_checksum_unpooled(&build, &ch),
+            expected_checksum_scalar(&build, &ch),
             "{label}: device vs oracle"
         );
     }
@@ -180,7 +180,7 @@ fn value_fault_diverges_device_but_not_the_engines() {
         }
         let device = run_on_device(&build, &ch, Some(plan));
         let batched = expected_checksum(&build, &ch);
-        let oracle = expected_checksum_unpooled(&build, &ch);
+        let oracle = expected_checksum_scalar(&build, &ch);
         assert_eq!(batched, oracle, "naive={naive}: engines must agree");
         assert_ne!(
             device, batched,
@@ -261,7 +261,7 @@ mod prop {
             let ch = challenges(params.grid_blocks, seed.wrapping_mul(0x9E3779B9));
             prop_assert_eq!(
                 expected_checksum(&build, &ch),
-                expected_checksum_unpooled(&build, &ch),
+                expected_checksum_scalar(&build, &ch),
                 "params {:?}", params
             );
         }

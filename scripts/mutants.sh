@@ -38,6 +38,7 @@ MUTANTS=(
     "verdicts-in-roster-order|crates/service/src/service.rs|for (slot, env) in responses {|responses.sort_by_key(\|r\| self.roster_pos[r.0]); for (slot, env) in responses {|--test history_golden"
     "service-verdict-skips-replay|crates/service/src/service.rs|match d.verifier.check_response(&o.challenges, checksum, measured) {|match d.verifier.check_response_precomputed(checksum, checksum, measured) {|--test attack_matrix"
     "evidence-payload-byte-flipped|crates/evidence/src/chain.rs|self.hasher.update(&rec.encode());|self.hasher.update(&{ let mut b = rec.encode(); b[17] ^= 1; b });|--test history_golden"
+    "sm-reports-merged-out-of-order|crates/gpu-sim/src/device.rs|results[i] = Some((sm_id, report));|results[n_jobs - 1 - i] = Some((sm_id, report));|--test exec_modes"
 )
 
 field() { # field INDEX ENTRY — '|' separates fields, '\|' is a literal bar

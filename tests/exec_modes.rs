@@ -1,17 +1,17 @@
-//! Bit-exact equivalence of the parallel, fast-forwarding execution mode
-//! against the sequential tick-per-cycle reference.
+//! Bit-exact equivalence of `Device::run`, parallel and fast-forwarding,
+//! against the sequential tick-per-cycle `Device::run_reference`.
 //!
-//! `ExecMode::Parallel` runs every SM on a worker thread and jumps the SM
-//! clock over windows where all partitions are stalled. Both are pure
+//! `run` spreads the SMs over worker threads and jumps the SM clock over
+//! windows where all partitions are stalled. Both are pure
 //! optimisations: final checksums, per-SM cycle counts and the per-SM
-//! stall-reason breakdowns must be *identical* to `ExecMode::Sequential`,
+//! stall-reason breakdowns must be *identical* to `run_reference`,
 //! across seeds, every self-modifying-code mode and both schedules (the
 //! optimised one and §7.1's compiler-style one). This is the guarantee
 //! the whole evaluation rests on — a simulator that ran faster by timing
 //! differently would invalidate the paper's Table 1 reproduction.
 
 use sage::GpuSession;
-use sage_gpu_sim::{Device, DeviceConfig, ExecMode, LaunchParams, RunReport, StallReason};
+use sage_gpu_sim::{Device, DeviceConfig, LaunchParams, RunReport, StallReason};
 use sage_vf::{expected_checksum, SmcMode, VfParams};
 
 fn params_for(smc: SmcMode, naive_schedule: bool) -> VfParams {
@@ -53,17 +53,17 @@ fn challenges(n: u32, seed: u8) -> Vec<[u8; 16]> {
         .collect()
 }
 
-/// Installs the VF, uploads challenges, runs the grid once and returns the
-/// checksum cells plus the full run report (per-SM stats included).
+/// Installs the VF, uploads challenges, runs the grid once (through
+/// `run_reference` when `reference`, else `run`) and returns the checksum
+/// cells plus the full run report (per-SM stats included).
 fn run_once(
-    mode: ExecMode,
+    reference: bool,
     smc: SmcMode,
     naive_schedule: bool,
     timing_seed: u64,
 ) -> ([u32; 8], RunReport) {
     let params = params_for(smc, naive_schedule);
     let mut dev = Device::new(DeviceConfig::sim_small());
-    dev.set_exec_mode(mode);
     dev.set_timing_seed(timing_seed);
     let mut session = GpuSession::install(dev, &params, 0xAA55).expect("install");
     let layout = session.build().layout;
@@ -93,7 +93,12 @@ fn run_once(
             params: vec![],
         })
         .expect("launch");
-    let report = session.dev.run().expect("run");
+    let report = if reference {
+        session.dev.run_reference()
+    } else {
+        session.dev.run()
+    }
+    .expect("run");
     let raw = session
         .dev
         .memcpy_d2h(layout.result_addr(), 32)
@@ -102,11 +107,11 @@ fn run_once(
     for (j, cell) in cells.iter_mut().enumerate() {
         *cell = u32::from_le_bytes(raw[j * 4..j * 4 + 4].try_into().expect("4 bytes"));
     }
-    // Sanity: both modes must also be *correct*, not merely equal.
+    // Sanity: both paths must also be *correct*, not merely equal.
     assert_eq!(
         cells,
         expected_checksum(session.build(), &ch),
-        "checksum vs verifier replay ({mode:?}, {smc:?}, naive {naive_schedule}, seed {timing_seed})"
+        "checksum vs verifier replay (reference {reference}, {smc:?}, naive {naive_schedule}, seed {timing_seed})"
     );
     (cells, report)
 }
@@ -121,8 +126,8 @@ fn parallel_fast_forward_is_bit_exact_with_sequential() {
         (SmcMode::Evict, true),
     ] {
         for timing_seed in [1u64, 0xD15EA5E, 0xFEED_F00D_u64] {
-            let (seq_cells, seq) = run_once(ExecMode::Sequential, smc, naive, timing_seed);
-            let (par_cells, par) = run_once(ExecMode::Parallel, smc, naive, timing_seed);
+            let (seq_cells, seq) = run_once(true, smc, naive, timing_seed);
+            let (par_cells, par) = run_once(false, smc, naive, timing_seed);
 
             assert_eq!(
                 seq_cells, par_cells,
@@ -157,8 +162,8 @@ fn parallel_fast_forward_is_bit_exact_with_sequential() {
 
 #[test]
 fn launch_reports_match_across_modes() {
-    let (_, seq) = run_once(ExecMode::Sequential, SmcMode::Evict, false, 7);
-    let (_, par) = run_once(ExecMode::Parallel, SmcMode::Evict, false, 7);
+    let (_, seq) = run_once(true, SmcMode::Evict, false, 7);
+    let (_, par) = run_once(false, SmcMode::Evict, false, 7);
     assert_eq!(seq.launches.len(), par.launches.len());
     for (a, b) in seq.launches.iter().zip(&par.launches) {
         assert_eq!(a.completion_cycle, b.completion_cycle);

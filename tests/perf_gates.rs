@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 use fixture::{counter_total, enclave, entropy, modeled_member, tiny_member};
 use sage_repro::core::{Calibration, GpuSession, Verifier};
 use sage_repro::crypto::{BigUint, DhGroup, Montgomery};
-use sage_repro::gpu::{Device, DeviceConfig, ExecMode, LaunchParams};
+use sage_repro::gpu::{Device, DeviceConfig, LaunchParams};
 use sage_repro::service::{
     AttestationService, Bind, ChaosProfile, ChaosProxy, ClockDriver, DeviceLink, DeviceLinkConfig,
     DeviceState, LinkConfig, LinkProfile, Pump, SamplingConfig, ServiceConfig, SimNet,
@@ -36,7 +36,7 @@ use sage_repro::service::{
 use sage_repro::sgx::SgxPlatform;
 use sage_repro::telemetry::Registry;
 use sage_repro::vf::{
-    build_vf, codegen::VfBuild, expected_checksum, expected_checksum_unpooled, BankConfig, SmcMode,
+    build_vf, codegen::VfBuild, expected_checksum, expected_checksum_scalar, BankConfig, SmcMode,
     VfParams,
 };
 
@@ -376,9 +376,10 @@ fn bank_hit_rounds_are_5x_faster_than_online_replay() {
     assert!(speedup >= 5.0, "bank-hit rounds only {speedup:.1}x faster");
 }
 
-/// Stocking the bank with the batched engine through the replay pool
-/// must be ≥5× faster than recomputing the same number of rounds with
-/// the per-lane scalar oracle it replaced.
+/// Stocking the bank with the batched engine must be ≥5× faster than
+/// recomputing the same number of rounds with the per-lane scalar oracle
+/// it replaced. Both arms replay on the calling thread, so the ratio is
+/// the engines' alone.
 #[test]
 #[ignore = "timing gate: run in --release from ci.sh"]
 fn batched_bank_refill_is_5x_faster_than_the_scalar_oracle() {
@@ -390,7 +391,7 @@ fn batched_bank_refill_is_5x_faster_than_the_scalar_oracle() {
         .collect();
     let scalar = seconds(|| {
         for ch in &transcript {
-            std::hint::black_box(expected_checksum_unpooled(&build, ch));
+            std::hint::black_box(expected_checksum_scalar(&build, ch));
         }
     });
     let speedup = scalar / batched;
@@ -521,8 +522,9 @@ fn telemetry_costs_at_most_10_percent_on_the_bank_hit_path() {
 /// One run of the compiler-style (§7.1 "ptx-naive") schedule of
 /// experiment 3 on the 8-SM `sim_large` device, one warp per SM over a
 /// 64 MiB region so loads run at DRAM latency: returns the wall of
-/// `Device::run`, the simulated SM cycles and the checksum.
-fn ptx_naive_run(mode: ExecMode) -> (f64, u64, [u8; 32]) {
+/// `Device::run` (or of `Device::run_reference` when `reference`), the
+/// simulated SM cycles and the checksum.
+fn ptx_naive_run(reference: bool) -> (f64, u64, [u8; 32]) {
     let mut cfg = DeviceConfig::sim_large();
     cfg.gmem_bytes = 128 * 1024 * 1024;
     let params = VfParams {
@@ -537,8 +539,7 @@ fn ptx_naive_run(mode: ExecMode) -> (f64, u64, [u8; 32]) {
         naive_schedule: true,
         injected_nops: 0,
     };
-    let mut dev = Device::new(cfg);
-    dev.set_exec_mode(mode);
+    let dev = Device::new(cfg);
     let mut session = GpuSession::install(dev, &params, 0xE11A).expect("install");
     let layout = session.build().layout;
     for b in 0..params.grid_blocks {
@@ -564,7 +565,16 @@ fn ptx_naive_run(mode: ExecMode) -> (f64, u64, [u8; 32]) {
         })
         .expect("launch");
     let mut report = None;
-    let wall = seconds(|| report = Some(session.dev.run().expect("run")));
+    let wall = seconds(|| {
+        report = Some(
+            if reference {
+                session.dev.run_reference()
+            } else {
+                session.dev.run()
+            }
+            .expect("run"),
+        )
+    });
     let cycles = report
         .expect("ran")
         .per_sm
@@ -578,22 +588,29 @@ fn ptx_naive_run(mode: ExecMode) -> (f64, u64, [u8; 32]) {
     (wall, cycles, raw.try_into().expect("32 bytes"))
 }
 
-/// Per-SM worker threads plus stall fast-forward must beat the
-/// sequential tick-per-cycle reference on the latency-exposed schedule:
-/// ≥3× from 4 cores up, ≥1× below (the ratio needs real cores).
+/// `Device::run` (per-SM worker threads plus stall fast-forward) must
+/// beat the sequential tick-per-cycle `run_reference` on the
+/// latency-exposed schedule: ≥3× from 4 cores up, ≥1× below (the ratio
+/// needs real cores).
 #[test]
 #[ignore = "timing gate: run in --release from ci.sh"]
 fn parallel_simulator_beats_sequential_on_the_naive_schedule() {
     let _serial = serial();
-    let (par_wall, par_cycles, par_sum) = ptx_naive_run(ExecMode::Parallel);
-    let (seq_wall, seq_cycles, seq_sum) = ptx_naive_run(ExecMode::Sequential);
-    assert_eq!(par_sum, seq_sum, "execution modes diverged: checksums");
-    assert_eq!(par_cycles, seq_cycles, "execution modes diverged: cycles");
+    let (par_wall, par_cycles, par_sum) = ptx_naive_run(false);
+    let (seq_wall, seq_cycles, seq_sum) = ptx_naive_run(true);
+    assert_eq!(
+        par_sum, seq_sum,
+        "run and run_reference diverged: checksums"
+    );
+    assert_eq!(
+        par_cycles, seq_cycles,
+        "run and run_reference diverged: cycles"
+    );
     let floor = if cores() >= 4 { 3.0 } else { 1.0 };
     let speedup = seq_wall / par_wall;
     assert!(
         speedup >= floor,
-        "parallel mode only {speedup:.2}x over sequential (need {floor}x on {} cores)",
+        "run only {speedup:.2}x over run_reference (need {floor}x on {} cores)",
         cores()
     );
 }
